@@ -8,7 +8,7 @@
 // The win is pure memory-traffic amortisation: gather/scatter and the
 // kernel map cost the same on both paths, but the matrix (values + index
 // structures) is read B times less often. Formats that stream the most
-// bytes per row (DEN, ELL, DIA, BCSR) gain the most.
+// bytes per row (DEN, ELL, DIA) gain the most.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -97,7 +97,7 @@ int main() {
   std::printf("%s\n", table.str().c_str());
   std::printf(
       "Batching streams the matrix once per B rows instead of once per "
-      "row;\nformats with the highest bytes/row (DEN, ELL, DIA, BCSR) gain "
+      "row;\nformats with the highest bytes/row (DEN, ELL, DIA) gain "
       "the most.\n'*' marks >= 1.5x.\n");
   bench::finish(csv, "ablation_batch_rows");
   return 0;

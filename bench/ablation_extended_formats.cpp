@@ -1,7 +1,9 @@
-// Ablation: do the derived formats (CSC, BCSR — Section III-A's "other
+// Ablation: do the derived formats (CSC, HYB, JDS — Section III-A's "other
 // storage formats") ever beat the basic five? Measures the SMSV cost of
-// all seven formats on structures chosen to favour each candidate, and
-// reports what the extended autotuner picks.
+// all eight formats on structures chosen to favour each candidate, and
+// records what the extended autotuner picks (the `picked` CSV column).
+// Docs on removing a format that never wins: docs/adding_a_format.md.
+#include <array>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -13,7 +15,8 @@ namespace {
 
 using namespace ls;
 
-/// Dense tile chain: 4x4 dense blocks along the diagonal (BCSR's regime).
+/// Dense tile chain: 4x4 dense blocks along the diagonal (every row holds
+/// exactly four nonzeros, so the slab formats carry no padding).
 CooMatrix make_block_chain(index_t blocks, Rng& rng) {
   std::vector<Triplet> t;
   for (index_t b = 0; b < blocks; ++b) {
@@ -44,7 +47,7 @@ CooMatrix make_hot_columns(index_t m, index_t n, Rng& rng) {
 int main() {
   using namespace ls;
   bench::banner("Ablation: extended formats",
-                "CSC and BCSR vs the paper's basic five");
+                "CSC, HYB and JDS vs the paper's basic five");
 
   Rng rng(0xE87E);
   struct Workload {
@@ -63,8 +66,8 @@ int main() {
   workloads.push_back({"banded (5 diagonals)",
                        make_banded(2048, 2048, {0, 1, -1, 2, -2}, 1.0, rng)});
 
-  Table table({"Workload", "DEN", "CSR", "COO", "ELL", "DIA", "CSC", "BCSR",
-               "HYB", "JDS", "autotune pick"});
+  Table table({"Workload", "DEN", "CSR", "COO", "ELL", "DIA", "CSC", "HYB",
+               "JDS", "autotune pick"});
   CsvWriter csv(bench::csv_path("ablation_extended_formats"),
                 {"workload", "format", "seconds", "picked"});
 
@@ -74,25 +77,26 @@ int main() {
 
   for (const Workload& w : workloads) {
     std::vector<std::string> row = {w.name};
-    double best = 1e300;
+    std::array<double, kNumFormats> secs{};
     for (Format f : kExtendedFormats) {
-      const double s = bench::smsv_seconds(w.coo, f);
-      best = std::min(best, s);
-      row.push_back(fmt_seconds(s));
-      csv.write_row({w.name, std::string(format_name(f)), fmt_double(s, 9),
-                     ""});
+      secs[static_cast<std::size_t>(f)] = bench::smsv_seconds(w.coo, f);
+      row.push_back(fmt_seconds(secs[static_cast<std::size_t>(f)]));
     }
     const ScheduleDecision d = EmpiricalAutotuner(opts).choose(w.coo);
+    for (Format f : kExtendedFormats) {
+      csv.write_row({w.name, std::string(format_name(f)),
+                     fmt_double(secs[static_cast<std::size_t>(f)], 9),
+                     f == d.format ? "1" : "0"});
+    }
     row.push_back(std::string(format_name(d.format)));
     table.add_row(row);
   }
   std::printf("%s\n", table.str().c_str());
   std::printf(
-      "BCSR pays off when nonzeros cluster into dense tiles (fill ratio "
-      "~1); CSC when\nthe SMSV right-hand side is sparse (it skips every "
-      "column outside the gathered\nrow's support — a structural win the "
-      "paper's five formats cannot express); HYB\nbounds ELL's padding "
-      "under skewed rows; JDS streams like ELL with zero padding.\n");
+      "CSC pays off when the SMSV right-hand side is sparse (it skips "
+      "every column\noutside the gathered row's support — a structural win "
+      "the paper's five formats\ncannot express); HYB bounds ELL's padding "
+      "under skewed rows; JDS streams like\nELL with zero padding.\n");
   bench::finish(csv, "ablation_extended_formats");
   return 0;
 }

@@ -10,7 +10,6 @@
 #include "common/csv.hpp"
 #include "data/features.hpp"
 #include "data/profiles.hpp"
-#include "sched/learned.hpp"
 #include "svm/trainer.hpp"
 
 int main() {
@@ -29,11 +28,8 @@ int main() {
   Timer cal_timer;
   (void)CostCalibration::instance();
   const double calibration_s = cal_timer.seconds();
-  Timer learn_timer;
-  const LearnedSelector& learned = LearnedSelector::instance();
-  const double learned_train_s = learn_timer.seconds();
-  std::printf("one-time: machine calibration %.1f ms, learned-selector "
-              "training %.2f s\n\n", calibration_s * 1e3, learned_train_s);
+  std::printf("one-time: machine calibration %.1f ms\n\n",
+              calibration_s * 1e3);
 
   Table table({"Dataset", "features (ms)", "heuristic (ms)",
                "empirical (ms)", "materialise (ms)", "solve (ms)",
@@ -61,7 +57,6 @@ int main() {
     const AnyMatrix mat = AnyMatrix::from_coo(ds.X, decision.format);
     const double mat_ms = t_mat.millis();
     (void)mat;
-    (void)learned;
 
     const TrainResult run = train_fixed_format(ds, params, decision.format);
     const double solve_ms = run.solve_seconds * 1e3;
@@ -82,7 +77,7 @@ int main() {
       "milliseconds: small next to a full training run on the larger\n"
       "datasets, but NOT free on tiny problems (breast_cancer/leukemia,\n"
       "38 samples), where it can exceed the solve itself — exactly when\n"
-      "the heuristic or learned policy should be preferred. Grid search,\n"
+      "the heuristic policy should be preferred. Grid search,\n"
       "cross validation and one-vs-one reuse the decision, amortising it\n"
       "further.\n");
   bench::finish(csv, "ablation_sched_overhead");

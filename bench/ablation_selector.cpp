@@ -11,7 +11,6 @@
 #include "common/csv.hpp"
 #include "common/stats.hpp"
 #include "data/profiles.hpp"
-#include "sched/learned.hpp"
 #include "sched/scheduler.hpp"
 
 int main() {
@@ -20,21 +19,14 @@ int main() {
                                       "autotuner");
 
   KernelParams kernel;
-  Table table({"Dataset", "optimal", "heuristic", "empirical", "learned",
-               "heur regret", "emp regret", "lrn regret", "heur ms",
-               "emp ms"});
+  Table table({"Dataset", "optimal", "heuristic", "empirical",
+               "heur regret", "emp regret", "heur ms", "emp ms"});
   CsvWriter csv(bench::csv_path("ablation_selector"),
                 {"dataset", "optimal", "heuristic_pick", "empirical_pick",
-                 "learned_pick", "heuristic_regret", "empirical_regret",
-                 "learned_regret", "heuristic_decide_ms",
-                 "empirical_decide_ms"});
+                 "heuristic_regret", "empirical_regret",
+                 "heuristic_decide_ms", "empirical_decide_ms"});
 
-  // Train the learned selector once up front (its one-time cost).
-  Timer train_timer;
-  const LearnedSelector& learned = LearnedSelector::instance();
-  const double learned_train_s = train_timer.seconds();
-
-  std::vector<double> heur_regret, emp_regret, lrn_regret;
+  std::vector<double> heur_regret, emp_regret;
   for (const DatasetProfile& profile : evaluated_profiles()) {
     const Dataset ds = profile.generate();
 
@@ -62,8 +54,6 @@ int main() {
     const ScheduleDecision emp = LayoutScheduler(emp_opts).decide(ds.X);
     const double emp_ms = t2.millis();
 
-    const ScheduleDecision lrn = learned.choose(extract_features(ds.X));
-
     // Regret = chosen cost / optimal cost (1.0 = perfect). Near-tied
     // formats can measure on either side of the "optimal" sample, so the
     // ratio is clamped at 1.0 (a sub-1.0 value is a tie, not a win).
@@ -73,35 +63,26 @@ int main() {
     const double er =
         std::max(1.0, secs[static_cast<std::size_t>(emp.format)] /
                           secs[static_cast<std::size_t>(optimal)]);
-    const double lr =
-        std::max(1.0, secs[static_cast<std::size_t>(lrn.format)] /
-                          secs[static_cast<std::size_t>(optimal)]);
     heur_regret.push_back(hr);
     emp_regret.push_back(er);
-    lrn_regret.push_back(lr);
 
     table.add_row({profile.name, std::string(format_name(optimal)),
                    std::string(format_name(heur.format)),
-                   std::string(format_name(emp.format)),
-                   std::string(format_name(lrn.format)), fmt_double(hr, 2),
-                   fmt_double(er, 2), fmt_double(lr, 2),
-                   fmt_double(heur_ms, 2), fmt_double(emp_ms, 1)});
+                   std::string(format_name(emp.format)), fmt_double(hr, 2),
+                   fmt_double(er, 2), fmt_double(heur_ms, 2),
+                   fmt_double(emp_ms, 1)});
     csv.write_row({profile.name, std::string(format_name(optimal)),
                    std::string(format_name(heur.format)),
-                   std::string(format_name(emp.format)),
-                   std::string(format_name(lrn.format)), fmt_double(hr, 4),
-                   fmt_double(er, 4), fmt_double(lr, 4),
-                   fmt_double(heur_ms, 3), fmt_double(emp_ms, 3)});
+                   std::string(format_name(emp.format)), fmt_double(hr, 4),
+                   fmt_double(er, 4), fmt_double(heur_ms, 3),
+                   fmt_double(emp_ms, 3)});
   }
   std::printf("%s\n", table.str().c_str());
-  std::printf("Mean regret: heuristic %.2fx, empirical %.2fx, learned %.2fx "
+  std::printf("Mean regret: heuristic %.2fx, empirical %.2fx "
               "(1.0 = always optimal).\n",
-              mean(heur_regret), mean(emp_regret), mean(lrn_regret));
-  std::printf("Learned selector one-time training: %.1f s (corpus of "
-              "measured matrices);\nper-decision cost afterwards is "
-              "O(tree depth). The empirical tuner's per-dataset\ncost is "
-              "amortised over thousands of SMO iterations; the heuristic is "
-              "free.\n", learned_train_s);
+              mean(heur_regret), mean(emp_regret));
+  std::printf("The empirical tuner's per-dataset cost is amortised over "
+              "thousands of SMO\niterations; the heuristic is free.\n");
   bench::finish(csv, "ablation_selector");
   return 0;
 }

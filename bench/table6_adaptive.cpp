@@ -60,7 +60,7 @@ int main() {
         others_sum += secs[static_cast<std::size_t>(f)] / sel_secs;
       }
     }
-    const double avg_speedup = others_sum / (kNumFormats - 1);
+    const double avg_speedup = others_sum / (kNumBasicFormats - 1);
     const double max_speedup =
         secs[static_cast<std::size_t>(worst)] / sel_secs;
     avg_speedups.push_back(avg_speedup);

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   cli.add_flag("kernel", "linear", "linear | polynomial | gaussian | sigmoid");
   cli.add_flag("c", "1.0", "SVM regularisation constant C");
   cli.add_flag("gamma", "0.5", "kernel gamma / a parameter");
-  cli.add_flag("policy", "empirical", "empirical | heuristic | learned | fixed");
+  cli.add_flag("policy", "empirical", "empirical | heuristic | fixed");
   cli.add_flag("tolerance", "1e-3", "SMO convergence tolerance");
   add_observability_flags(cli);
   if (!cli.parse(argc, argv)) return 0;

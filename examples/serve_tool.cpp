@@ -100,10 +100,10 @@ int run(int argc, char** argv) {
   cli.add_flag("drain-ms", "5000",
                "bound on finishing in-flight work after SIGTERM/SIGINT");
   cli.add_flag("policy", "empirical",
-               "layout policy: empirical|heuristic|learned|fixed");
+               "layout policy: empirical|heuristic|fixed");
   cli.add_flag("fixed-format", "CSR",
                "layout used when --policy fixed (DEN|CSR|COO|ELL|DIA|CSC|"
-               "BCSR|HYB|JDS)");
+               "HYB|JDS)");
   cli.add_flag("hint", "throughput",
                "deployment hint for load-time layout probes: "
                "latency|throughput");
@@ -124,7 +124,7 @@ int run(int argc, char** argv) {
   cli.add_flag("reschedule-hysteresis-ms", "500",
                "minimum dwell time between switches of the same model");
   cli.add_flag("reschedule-extended", "false",
-               "bandit arms cover all nine formats instead of the basic "
+               "bandit arms cover all eight formats instead of the basic "
                "five");
   ls::add_observability_flags(cli);
   if (!cli.parse(argc, argv)) return 0;

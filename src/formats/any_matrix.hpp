@@ -1,5 +1,5 @@
 // Runtime-polymorphic matrix: the object the layout scheduler actually
-// hands to the SVM solver. A std::variant over the five concrete formats
+// hands to the SVM solver. A std::variant over the eight concrete formats
 // keeps dispatch branch-predictable (no virtual calls in the SMSV loop —
 // one visit per multiply, not per element).
 #pragma once
@@ -10,7 +10,6 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/types.hpp"
-#include "formats/bcsr.hpp"
 #include "formats/coo.hpp"
 #include "formats/csc.hpp"
 #include "formats/csr.hpp"
@@ -24,7 +23,7 @@
 
 namespace ls {
 
-/// A matrix stored in any of the five paper formats, with a uniform API.
+/// A matrix stored in any supported format, with a uniform API.
 class AnyMatrix {
  public:
   AnyMatrix() = default;
@@ -34,7 +33,6 @@ class AnyMatrix {
   AnyMatrix(EllMatrix m) : m_(std::move(m)) {}
   AnyMatrix(DiaMatrix m) : m_(std::move(m)) {}
   AnyMatrix(CscMatrix m) : m_(std::move(m)) {}
-  AnyMatrix(BcsrMatrix m) : m_(std::move(m)) {}
   AnyMatrix(HybMatrix m) : m_(std::move(m)) {}
   AnyMatrix(JdsMatrix m) : m_(std::move(m)) {}
 
@@ -47,7 +45,6 @@ class AnyMatrix {
       case Format::kELL: return AnyMatrix(EllMatrix(coo));
       case Format::kDIA: return AnyMatrix(DiaMatrix(coo));
       case Format::kCSC: return AnyMatrix(CscMatrix(coo));
-      case Format::kBCSR: return AnyMatrix(BcsrMatrix(coo));
       case Format::kHYB: return AnyMatrix(HybMatrix(coo));
       case Format::kJDS: return AnyMatrix(JdsMatrix(coo));
     }
@@ -149,7 +146,7 @@ class AnyMatrix {
 
  private:
   std::variant<DenseMatrix, CsrMatrix, CooMatrix, EllMatrix, DiaMatrix,
-               CscMatrix, BcsrMatrix, HybMatrix, JdsMatrix>
+               CscMatrix, HybMatrix, JdsMatrix>
       m_;
 };
 

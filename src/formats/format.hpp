@@ -4,7 +4,7 @@
 // DEN (dense), CSR (compressed sparse row), COO (coordinate),
 // ELL (ELLPACK/ITPACK) and DIA (diagonal). The paper notes that "most of
 // the other storage formats can be derived from these basic formats" and
-// names CSC and BCSR as examples — both are implemented as *extended*
+// names CSC as an example. CSC, HYB and JDS are implemented as *extended*
 // formats: the empirical autotuner can consider them, while the paper-
 // reproduction benches stick to the basic five.
 #pragma once
@@ -27,7 +27,8 @@ enum class Format : int {
   kDIA = 4,
   // Derived formats (Section III-A's "other storage formats").
   kCSC = 5,
-  kBCSR = 6,
+  // 6 was BCSR (removed). Freed values are not reused, so every other
+  // format keeps the value it always had.
   kHYB = 7,
   kJDS = 8,
 };
@@ -40,7 +41,8 @@ inline constexpr int kNumBasicFormats = 5;
 /// more rows per batch split into chunks of at most this size.
 inline constexpr int kMaxSmsvBatch = 64;
 
-/// Total number of supported formats (arrays indexed by Format use this).
+/// One past the largest Format value: the size of arrays indexed by Format.
+/// Larger than the number of formats by the freed values (see Format).
 inline constexpr int kNumFormats = 9;
 
 /// The paper's basic formats in Table II column order (DEN CSR COO ELL DIA).
@@ -48,9 +50,9 @@ inline constexpr std::array<Format, kNumBasicFormats> kAllFormats = {
     Format::kDEN, Format::kCSR, Format::kCOO, Format::kELL, Format::kDIA};
 
 /// Every supported format, basic + derived.
-inline constexpr std::array<Format, kNumFormats> kExtendedFormats = {
-    Format::kDEN, Format::kCSR, Format::kCOO,  Format::kELL, Format::kDIA,
-    Format::kCSC, Format::kBCSR, Format::kHYB, Format::kJDS};
+inline constexpr std::array<Format, 8> kExtendedFormats = {
+    Format::kDEN, Format::kCSR, Format::kCOO, Format::kELL,
+    Format::kDIA, Format::kCSC, Format::kHYB, Format::kJDS};
 
 /// Short upper-case name as printed in the paper's tables.
 constexpr std::string_view format_name(Format f) {
@@ -61,7 +63,6 @@ constexpr std::string_view format_name(Format f) {
     case Format::kELL: return "ELL";
     case Format::kDIA: return "DIA";
     case Format::kCSC: return "CSC";
-    case Format::kBCSR: return "BCSR";
     case Format::kHYB: return "HYB";
     case Format::kJDS: return "JDS";
   }
@@ -74,7 +75,7 @@ inline Format parse_format(std::string_view name) {
     if (format_name(f) == name) return f;
   }
   throw Error("unknown format name: '" + std::string(name) +
-              "' (expected DEN, CSR, COO, ELL, DIA, CSC, BCSR, HYB or JDS)");
+              "' (expected DEN, CSR, COO, ELL, DIA, CSC, HYB or JDS)");
 }
 
 }  // namespace ls

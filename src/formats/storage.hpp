@@ -20,9 +20,6 @@ struct StorageShape {
   index_t nnz = 0;      // number of nonzeros
   index_t ndig = 0;     // occupied diagonals (DIA)
   index_t mdim = 0;     // maximum row nnz (ELL)
-  index_t nblocks = 0;  // occupied tiles (BCSR)
-  index_t block_rows = 4;  // BCSR tile shape
-  index_t block_cols = 4;
   index_t hyb_width = 0;     // ELL slab width (HYB)
   index_t hyb_overflow = 0;  // COO overflow nonzeros (HYB)
 };
@@ -47,10 +44,6 @@ inline index_t storage_words(Format f, const StorageShape& s) {
     case Format::kCSC:
       // data + row indices + column pointer.
       return 2 * s.nnz + s.cols + 1;
-    case Format::kBCSR:
-      // dense tiles + one column index per tile + block-row pointer.
-      return s.nblocks * (s.block_rows * s.block_cols + 1) +
-             (s.rows + s.block_rows - 1) / s.block_rows + 1;
     case Format::kHYB:
       // padded slab (values + cols) + per-row occupancy + overflow triples.
       return 2 * s.rows * s.hyb_width + s.rows + 3 * s.hyb_overflow;
@@ -71,9 +64,6 @@ inline index_t storage_words_min(Format f, index_t m, index_t n) {
     case Format::kELL: return 2 * m;        // O(2M): mdim = 1
     case Format::kDIA: return m + 1;        // O(M + 1): one diagonal
     case Format::kCSC: return n + 2;        // empty data, ptr only
-    case Format::kBCSR:
-      // One 4x4 tile + its index + the block-row pointer.
-      return 17 + (m + 3) / 4 + 1;
     case Format::kHYB: return 3 * m + 3;  // width-1 slab + occupancy
     case Format::kJDS: return 2 * m + 4;  // 1 nnz + pointers + perms
   }
@@ -94,9 +84,6 @@ inline index_t storage_words_max(Format f, index_t m, index_t n) {
       // (min(M,N) + 1) * (M + N - 1): every diagonal occupied.
       return (std::min(m, n) + 1) * (m + n - 1);
     case Format::kCSC: return 2 * m * n + n + 1;
-    case Format::kBCSR:
-      // Every 4x4 tile occupied.
-      return ((m + 3) / 4) * ((n + 3) / 4) * 17 + (m + 3) / 4 + 1;
     case Format::kHYB:
       // Dense: slab width n, no overflow, plus the occupancy array.
       return 2 * m * n + m;

@@ -30,10 +30,6 @@ double modeled_flops(Format f, const MatrixFeatures& feat) {
       // Only columns in the sparse right-hand side's support run, but the
       // support is unknown until runtime; model the dense-rhs upper bound.
       return nnz;
-    case Format::kBCSR:
-      // Fill is structure-dependent; model the pessimistic one-nonzero-per-
-      // tile bound capped at the fully tiled matrix (4x4 default tiles).
-      return std::min(nnz * 16.0, m * n);
     case Format::kHYB:
       // Auto-width slab (width = ceil(adim)): padding is bounded by ~M and
       // the overflow adds no padding at all.
@@ -58,9 +54,6 @@ double modeled_bytes(Format f, const MatrixFeatures& feat) {
       return flops * vb + static_cast<double>(feat.ndig) * ib;
     case Format::kCSC:
       return flops * (vb + ib) + (static_cast<double>(feat.n) + 1) * ib;
-    case Format::kBCSR:
-      // One block-column index per 16 slots plus the block-row pointer.
-      return flops * vb + flops / 16.0 * ib + (m / 4.0 + 1) * ib;
     case Format::kHYB:
       return flops * (vb + ib) + m * ib;  // + per-row occupancy
     case Format::kJDS:
@@ -116,7 +109,6 @@ CostCalibration CostCalibration::measure() {
   time_format(sparse, Format::kELL);
   time_format(banded, Format::kDIA);
   time_format(sparse, Format::kCSC);
-  time_format(banded, Format::kBCSR);
   time_format(sparse, Format::kHYB);
   time_format(sparse, Format::kJDS);
 
@@ -227,7 +219,7 @@ CostPrediction predict_cost(const MatrixFeatures& feat,
 
 std::array<double, kNumFormats> predicted_arm_priors(
     const MatrixFeatures& feat, const CostCalibration& cal) {
-  // All nine formats, not just the paper's five: the bandit's arm set is
+  // All eight formats, not just the paper's five: the bandit's arm set is
   // configurable and a prior of 0.0 would read as "free".
   std::array<double, kNumFormats> priors{};
   for (Format f : kExtendedFormats) {

@@ -28,11 +28,10 @@ std::vector<double> per_row_ops(Format f, const std::vector<index_t>& row_nnz,
       std::fill(ops.begin(), ops.end(), static_cast<double>(mdim));
       break;
     }
-    case Format::kBCSR:
     case Format::kHYB:
     case Format::kJDS:
-      // Approximation: these formats do ~nnz work per row (BCSR fill and
-      // HYB slab padding are structure-dependent lower-order terms).
+      // Approximation: these formats do ~nnz work per row (HYB slab
+      // padding is a structure-dependent lower-order term).
       for (std::size_t i = 0; i < ops.size(); ++i) {
         ops[i] = static_cast<double>(row_nnz[i]);
       }

@@ -8,7 +8,6 @@
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "kernels/simd.hpp"
-#include "sched/learned.hpp"
 
 namespace ls {
 
@@ -41,8 +40,6 @@ ScheduleDecision LayoutScheduler::decide(const CooMatrix& x) const {
       }
     case SchedulePolicy::kHeuristic:
       return HeuristicSelector().choose(extract_features(x));
-    case SchedulePolicy::kLearned:
-      return LearnedSelector::instance().choose(extract_features(x));
     case SchedulePolicy::kFixed: {
       ScheduleDecision d;
       d.format = opts_.fixed_format;
@@ -165,10 +162,9 @@ const char* deployment_hint_name(DeploymentHint hint) {
 SchedulePolicy parse_policy(const std::string& name) {
   if (name == "empirical") return SchedulePolicy::kEmpirical;
   if (name == "heuristic") return SchedulePolicy::kHeuristic;
-  if (name == "learned") return SchedulePolicy::kLearned;
   if (name == "fixed") return SchedulePolicy::kFixed;
   throw Error("unknown schedule policy '" + name +
-              "' (expected empirical, heuristic, learned or fixed)");
+              "' (expected empirical, heuristic or fixed)");
 }
 
 }  // namespace ls

@@ -21,7 +21,6 @@ namespace ls {
 enum class SchedulePolicy {
   kEmpirical,  ///< time real SMSVs per candidate (default; ground truth)
   kHeuristic,  ///< calibrated analytic cost model (O(1) after features)
-  kLearned,    ///< decision tree fitted on an autotuned corpus
   kFixed,      ///< always use `fixed_format` (the non-adaptive baseline)
 };
 

@@ -21,9 +21,7 @@ namespace ls {
 
 namespace {
 
-/// Storage words each format would need, from features alone. BCSR's tile
-/// count is structure-dependent; use the pessimistic one-nonzero-per-tile
-/// bound capped at the fully tiled matrix.
+/// Storage words each format would need, from features alone.
 double modeled_storage_words(Format f, const MatrixFeatures& feat) {
   StorageShape s;
   s.rows = feat.m;
@@ -31,7 +29,6 @@ double modeled_storage_words(Format f, const MatrixFeatures& feat) {
   s.nnz = feat.nnz;
   s.ndig = feat.ndig;
   s.mdim = feat.mdim;
-  s.nblocks = std::min(feat.nnz, ((feat.m + 3) / 4) * ((feat.n + 3) / 4));
   // HYB guard approximation: auto width = ceil(adim), overflow <= nnz.
   s.hyb_width = feat.m > 0 ? (feat.nnz + feat.m - 1) / feat.m : 0;
   s.hyb_overflow = 0;

@@ -83,8 +83,8 @@ struct AutotuneOptions {
   /// Skip candidates whose modelled storage exceeds this multiple of the
   /// matrix's CSR storage (avoids materialising absurd layouts).
   double max_storage_ratio = 64.0;
-  /// Also consider the derived formats (CSC, BCSR) beyond the paper's five
-  /// basic formats.
+  /// Also consider the derived formats (CSC, HYB, JDS) beyond the paper's
+  /// five basic formats.
   bool include_extended = false;
   /// Per-candidate wall-clock budget in seconds (0 = unlimited). A
   /// candidate whose build + probe time busts the budget is dropped from

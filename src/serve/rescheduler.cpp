@@ -10,7 +10,6 @@
 #include "common/trace.hpp"
 #include "data/features.hpp"
 #include "sched/cost_model.hpp"
-#include "sched/learned.hpp"
 #include "svm/reschedule.hpp"
 
 namespace ls::serve {
@@ -117,14 +116,12 @@ void LayoutRescheduler::seed_priors(const std::string& name,
   // Feature extraction and calibration run outside mu_ — the first pass
   // pays the one-time cost-model calibration, which must not block the
   // telemetry hook.
-  const MatrixFeatures feat =
-      extract_features(support_vector_matrix(model.model));
-  const std::array<double, kNumFormats> priors =
-      predicted_arm_priors(feat, CostCalibration::instance());
+  const std::array<double, kNumFormats> priors = predicted_arm_priors(
+      extract_features(support_vector_matrix(model.model)),
+      CostCalibration::instance());
   std::lock_guard<std::mutex> lk(mu_);
   ModelState& s = models_[name];
   s.priors = priors;
-  s.features = feat;
   s.priors_ready = true;
 }
 
@@ -211,17 +208,6 @@ void LayoutRescheduler::consider(
   {
     std::lock_guard<std::mutex> lk(mu_);
     ModelState& s = models_[name];
-    // Feed the selector-v2 telemetry sink with whatever this model has
-    // measured so far (upsert, so repeating each tick is free of growth).
-    if (s.priors_ready) {
-      for (Format f : kExtendedFormats) {
-        const Arm& a = s.arms[static_cast<std::size_t>(f)];
-        if (a.rows > 0) {
-          TelemetryIngest::instance().record(s.features, f,
-                                             a.mean_row_seconds());
-        }
-      }
-    }
     // Arms describing other content than the hosted entry (a reload we
     // have not observed yet, or in-flight telemetry of replaced weights)
     // must not drive a swap of THIS entry.

@@ -43,7 +43,6 @@
 #include <thread>
 #include <vector>
 
-#include "data/features.hpp"
 #include "formats/format.hpp"
 #include "serve/registry.hpp"
 
@@ -69,7 +68,7 @@ struct ReschedulerOptions {
   /// UCB1 exploration weight c: the bonus is c * prior_scale *
   /// sqrt(ln(total_pulls) / arm_pulls). 0 = pure exploitation.
   double ucb_exploration = 0.25;
-  /// Candidate arms: the paper's five basic formats, or all nine.
+  /// Candidate arms: the paper's five basic formats, or all eight.
   bool include_extended = false;
 };
 
@@ -164,7 +163,6 @@ class LayoutRescheduler {
     std::int64_t content_gen = 0;
     std::array<Arm, kNumFormats> arms{};
     std::array<double, kNumFormats> priors{};
-    MatrixFeatures features{};  ///< SV-matrix features (telemetry key)
     bool priors_ready = false;
     index_t switches = 0;
     std::chrono::steady_clock::time_point last_switch{};

@@ -1,6 +1,6 @@
-// Tests for the extension modules: the learned decision-tree selector,
-// model serialization, the divide-and-conquer distributed SVM, the LRN
-// layer, and the extended-format autotuner path.
+// Tests for the extension modules: model serialization, the
+// divide-and-conquer distributed SVM, the LRN layer, and the extended-format
+// autotuner path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,140 +9,12 @@
 #include "data/profiles.hpp"
 #include "data/synthetic.hpp"
 #include "dnn/net.hpp"
-#include "sched/learned.hpp"
 #include "svm/dcsvm.hpp"
 #include "svm/serialize.hpp"
 #include "test_util.hpp"
 
 namespace ls {
 namespace {
-
-// ------------------------------------------------------- decision tree
-
-/// Synthetic corpus with a crisp rule: dense -> DEN, banded -> DIA,
-/// everything else -> CSR. The tree must recover it exactly.
-std::vector<TrainingExample> rule_corpus() {
-  std::vector<TrainingExample> corpus;
-  Rng rng(71);
-  for (int k = 0; k < 12; ++k) {
-    {
-      TrainingExample ex;
-      ex.features = extract_features(
-          make_dense_matrix(20 + 3 * k, 15 + 2 * k, rng));
-      ex.best = Format::kDEN;
-      corpus.push_back(ex);
-    }
-    {
-      TrainingExample ex;
-      ex.features = extract_features(
-          make_banded(100 + 10 * k, 100 + 10 * k, {0, 1, -1}, 1.0, rng));
-      ex.best = Format::kDIA;
-      corpus.push_back(ex);
-    }
-    {
-      std::vector<index_t> lens(static_cast<std::size_t>(100 + 10 * k), 4);
-      TrainingExample ex;
-      ex.features = extract_features(
-          make_random_sparse(100 + 10 * k, 200, lens, rng));
-      ex.best = Format::kCSR;
-      corpus.push_back(ex);
-    }
-  }
-  return corpus;
-}
-
-TEST(DecisionTree, RecoversACrispRule) {
-  const auto corpus = rule_corpus();
-  const DecisionTree tree = DecisionTree::fit(corpus, 6, 2);
-  EXPECT_DOUBLE_EQ(tree.accuracy(corpus), 1.0);
-  EXPECT_GT(tree.node_count(), 1);
-}
-
-TEST(DecisionTree, GeneralisesToUnseenMatricesOfTheSameFamilies) {
-  const DecisionTree tree = DecisionTree::fit(rule_corpus(), 6, 2);
-  Rng rng(72);
-  MatrixFeatures dense = extract_features(make_dense_matrix(37, 29, rng));
-  MatrixFeatures banded = extract_features(
-      make_banded(333, 333, {0, 1, -1}, 1.0, rng));
-  std::vector<index_t> lens(400, 4);
-  MatrixFeatures sparse = extract_features(
-      make_random_sparse(400, 200, lens, rng));
-  EXPECT_EQ(tree.predict(dense), Format::kDEN);
-  EXPECT_EQ(tree.predict(banded), Format::kDIA);
-  EXPECT_EQ(tree.predict(sparse), Format::kCSR);
-}
-
-TEST(DecisionTree, DepthOneIsAStump) {
-  const DecisionTree tree = DecisionTree::fit(rule_corpus(), 1, 2);
-  EXPECT_LE(tree.node_count(), 3);  // root + two leaves
-}
-
-TEST(DecisionTree, PureCorpusYieldsSingleLeaf) {
-  std::vector<TrainingExample> corpus;
-  Rng rng(73);
-  for (int k = 0; k < 5; ++k) {
-    TrainingExample ex;
-    ex.features = extract_features(make_dense_matrix(10 + k, 10, rng));
-    ex.best = Format::kDEN;
-    corpus.push_back(ex);
-  }
-  const DecisionTree tree = DecisionTree::fit(corpus);
-  EXPECT_EQ(tree.node_count(), 1);
-  EXPECT_EQ(tree.predict(corpus[0].features), Format::kDEN);
-}
-
-TEST(DecisionTree, ToStringShowsSplitsAndLeaves) {
-  const DecisionTree tree = DecisionTree::fit(rule_corpus(), 4, 2);
-  const std::string dump = tree.to_string();
-  EXPECT_NE(dump.find("if "), std::string::npos);
-  EXPECT_NE(dump.find("-> "), std::string::npos);
-}
-
-TEST(DecisionTree, RejectsBadInputs) {
-  EXPECT_THROW(DecisionTree::fit({}), Error);
-  EXPECT_THROW(DecisionTree::fit(rule_corpus(), 0, 1), Error);
-  DecisionTree unfitted;
-  (void)unfitted;  // predict on default-constructed is guarded by fit()
-}
-
-TEST(LearnedSelector, CorpusTrainingPicksReasonableFormats) {
-  Rng rng(74);
-  AutotuneOptions opts;
-  opts.trials = 2;
-  const auto corpus = make_training_corpus(3, rng, opts);
-  ASSERT_EQ(corpus.size(), 12u);  // 4 families x 3
-  const DecisionTree tree = DecisionTree::fit(corpus, 5, 1);
-  // Training accuracy on a measured corpus should beat random guessing (5
-  // classes -> 0.2) by a wide margin.
-  EXPECT_GT(tree.accuracy(corpus), 0.6);
-
-  const LearnedSelector selector{DecisionTree::fit(corpus, 5, 1)};
-  const ScheduleDecision d = selector.choose(corpus.front().features);
-  EXPECT_NE(d.rationale.find("learned"), std::string::npos);
-}
-
-TEST(LearnedSelector, SchedulerPolicyDispatch) {
-  Rng rng(75);
-  const CooMatrix coo = test::random_matrix(60, 60, 0.2, rng);
-  SchedulerOptions opts;
-  opts.policy = SchedulePolicy::kLearned;
-  const ScheduleDecision d = LayoutScheduler(opts).decide(coo);
-  EXPECT_NE(d.rationale.find("learned"), std::string::npos);
-  EXPECT_EQ(parse_policy("learned"), SchedulePolicy::kLearned);
-}
-
-TEST(TreeInputs, LogScalingAndNames) {
-  MatrixFeatures f;
-  f.m = 100;
-  f.n = 10;
-  f.density = 0.5;
-  const auto inputs = tree_inputs(f);
-  EXPECT_NEAR(inputs[0], std::log1p(100.0), 1e-12);
-  EXPECT_DOUBLE_EQ(inputs[8], 0.5);
-  EXPECT_STREQ(tree_input_name(0), "log M");
-  EXPECT_STREQ(tree_input_name(8), "density");
-  EXPECT_THROW(tree_input_name(9), Error);
-}
 
 // ------------------------------------------------------- serialization
 
@@ -391,12 +263,13 @@ TEST(Lrn, Cifar10FullNowIncludesNormLayers) {
 
 // ----------------------------------------------- extended-format tuning
 
-TEST(ExtendedFormats, AutotunerCanPickCscOrBcsr) {
+TEST(ExtendedFormats, AutotunerScoresEveryDerivedFormat) {
   AutotuneOptions opts;
   opts.include_extended = true;
   opts.sample_rows = 0;
-  // Block-structured matrix: dense 4x4 tiles along the diagonal; BCSR's
-  // fill ratio is ~1 while CSR pays an index per nonzero.
+  // Block-structured matrix: dense 4x4 tiles along the diagonal. Every row
+  // has the same length, so the ELL-style slabs of HYB and JDS carry no
+  // padding and all three derived formats stay admissible.
   std::vector<Triplet> t;
   for (index_t b = 0; b < 128; ++b) {
     for (index_t r = 0; r < 4; ++r) {
@@ -407,9 +280,9 @@ TEST(ExtendedFormats, AutotunerCanPickCscOrBcsr) {
   }
   const CooMatrix coo(512, 512, std::move(t));
   const ScheduleDecision d = EmpiricalAutotuner(opts).choose(coo);
-  // All seven formats must have been scored (finite or skipped-by-storage).
-  EXPECT_TRUE(std::isfinite(d.score_of(Format::kBCSR)));
-  EXPECT_TRUE(std::isfinite(d.score_of(Format::kCSC)));
+  for (Format f : {Format::kCSC, Format::kHYB, Format::kJDS}) {
+    EXPECT_TRUE(std::isfinite(d.score_of(f))) << format_name(f);
+  }
   // The pick must be the measured argmin over the extended set.
   for (Format f : kExtendedFormats) {
     if (std::isfinite(d.score_of(f))) {
@@ -424,8 +297,9 @@ TEST(ExtendedFormats, BasicPolicyIgnoresDerivedFormats) {
   AutotuneOptions opts;
   opts.sample_rows = 0;  // include_extended defaults to false
   const ScheduleDecision d = EmpiricalAutotuner(opts).choose(coo);
-  EXPECT_FALSE(std::isfinite(d.score_of(Format::kCSC)));
-  EXPECT_FALSE(std::isfinite(d.score_of(Format::kBCSR)));
+  for (Format f : {Format::kCSC, Format::kHYB, Format::kJDS}) {
+    EXPECT_FALSE(std::isfinite(d.score_of(f))) << format_name(f);
+  }
 }
 
 }  // namespace

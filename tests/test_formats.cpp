@@ -149,40 +149,6 @@ TEST(Csc, SkipsZeroColumnsOfSparseRhs) {
   EXPECT_DOUBLE_EQ(y[0], 0.0);
 }
 
-TEST(Bcsr, TileAccountingAndFillRatio) {
-  // Two nonzeros in the same 4x4 tile, one in another tile.
-  CooMatrix coo(8, 8, {{0, 0, 1.0}, {1, 2, 2.0}, {5, 6, 3.0}});
-  BcsrMatrix bcsr(coo);
-  EXPECT_EQ(bcsr.num_blocks(), 2);
-  EXPECT_EQ(bcsr.stored_elements(), 2 * 16);
-  EXPECT_DOUBLE_EQ(bcsr.fill_ratio(), 32.0 / 3.0);
-  EXPECT_EQ(bcsr.nnz(), 3);
-}
-
-TEST(Bcsr, CustomBlockShapeAndRaggedEdges) {
-  // 5x5 matrix with 2x3 tiles: edge tiles are clipped by the loop bounds.
-  CooMatrix coo(5, 5, {{4, 4, 7.0}, {0, 0, 1.0}});
-  BcsrMatrix bcsr(coo, 2, 3);
-  EXPECT_EQ(bcsr.block_rows(), 2);
-  EXPECT_EQ(bcsr.block_cols(), 3);
-  std::vector<real_t> w(5, 1.0);
-  std::vector<real_t> y(5, 0.0);
-  bcsr.multiply_dense(w, y);
-  EXPECT_DOUBLE_EQ(y[4], 7.0);
-  EXPECT_DOUBLE_EQ(y[0], 1.0);
-  EXPECT_DOUBLE_EQ(y[2], 0.0);
-  // Round-trip drops the fill.
-  EXPECT_EQ(bcsr.to_coo().nnz(), 2);
-}
-
-TEST(Bcsr, DenseBlocksFillRatioApproachesOne) {
-  Rng rng(0xB1E55);
-  const CooMatrix coo = test::random_matrix(16, 16, 1.0, rng);
-  BcsrMatrix bcsr(coo);
-  EXPECT_DOUBLE_EQ(bcsr.fill_ratio(), 1.0);
-  EXPECT_EQ(bcsr.num_blocks(), 16);
-}
-
 TEST(Hyb, AutoWidthIsCeilOfMeanRowLength) {
   // 4 rows with lengths {1, 1, 2, 4}: nnz = 8, mean = 2 -> width 2 and
   // the length-4 row spills 2 entries into the COO overflow.
@@ -403,9 +369,6 @@ TEST_P(StorageAccounting, MeasuredBytesMatchFormula) {
   }
   if (GetParam() == Format::kELL) {
     s.mdim = mat.as<EllMatrix>().max_row_nnz();
-  }
-  if (GetParam() == Format::kBCSR) {
-    s.nblocks = mat.as<BcsrMatrix>().num_blocks();
   }
   if (GetParam() == Format::kHYB) {
     s.hyb_width = mat.as<HybMatrix>().ell_width();

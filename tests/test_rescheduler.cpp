@@ -17,7 +17,6 @@
 #include "common/rng.hpp"
 #include "data/features.hpp"
 #include "sched/cost_model.hpp"
-#include "sched/learned.hpp"
 #include "serve/engine.hpp"
 #include "serve/rescheduler.hpp"
 #include "svm/reschedule.hpp"
@@ -139,7 +138,7 @@ TEST(Rescheduler, CostModelSeedsEveryArmWithAFinitePrior) {
     const double p = priors[static_cast<std::size_t>(f)];
     EXPECT_TRUE(std::isfinite(p)) << format_name(f);
     // A zero prior would read as "this layout is free" and win every
-    // bandit comparison — the seeding must cover all nine arms.
+    // bandit comparison — the seeding must cover every arm.
     EXPECT_GT(p, 0.0) << format_name(f);
   }
 }
@@ -147,7 +146,6 @@ TEST(Rescheduler, CostModelSeedsEveryArmWithAFinitePrior) {
 // --- bandit convergence + swap -------------------------------------------
 
 TEST(Rescheduler, SwitchesToDecisivelyFasterMeasuredArm) {
-  TelemetryIngest::instance().clear();
   ModelRegistry reg;
   const auto first = host_model(reg, "converge.txt");
   LayoutRescheduler rs(reg, 8, test_policy());
@@ -171,11 +169,6 @@ TEST(Rescheduler, SwitchesToDecisivelyFasterMeasuredArm) {
   EXPECT_EQ(swapped->model.support_vectors.size(),
             first->model.support_vectors.size());
   EXPECT_EQ(swapped->model.rho, first->model.rho);
-
-  // The measured arms fed the selector-v2 telemetry sink, and two observed
-  // formats for one signature is enough to harvest a training example.
-  EXPECT_GE(TelemetryIngest::instance().observations(), 2u);
-  EXPECT_GE(TelemetryIngest::instance().harvest().size(), 1u);
 
   // Stats expose both arms with their pulls.
   const auto stats = rs.stats();

@@ -1,5 +1,5 @@
-// Tests for the runtime extensions: batch prediction, OSKI-style BCSR
-// block-shape tuning, and mid-training layout re-scheduling.
+// Tests for the runtime extensions: batch prediction and mid-training layout
+// re-scheduling.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -92,51 +92,6 @@ TEST(BatchPredictor, RejectsEmptyModelsAndWideData) {
   const BatchPredictor batch(r.model, sched);
   Dataset wide = planted(5, 9, 63);  // more features than the model
   EXPECT_THROW(batch.decision_values(wide), Error);
-}
-
-// --------------------------------------------------- block-shape tuning
-
-TEST(BlockShape, FindsTheNativeTileOfABlockMatrix) {
-  // Isolated aligned 2x3 dense tiles with empty space between them: fill
-  // is exactly 1 at (2, 3) and strictly worse for any larger tile (each
-  // would swallow empty neighbourhood), so the search must return (2, 3).
-  std::vector<Triplet> t;
-  for (index_t b = 0; b < 16; ++b) {
-    const index_t r0 = (b % 4) * 6, c0 = (b / 4) * 9;  // gaps of 4 and 6
-    for (index_t r = 0; r < 2; ++r) {
-      for (index_t c = 0; c < 3; ++c) {
-        t.push_back({r0 + r, c0 + c, 1.0});
-      }
-    }
-  }
-  const CooMatrix coo(24, 36, std::move(t));
-  const BlockShapeChoice choice = choose_block_shape(coo, 4, 4);
-  EXPECT_DOUBLE_EQ(choice.fill_ratio, 1.0);
-  EXPECT_EQ(choice.rows, 2);
-  EXPECT_EQ(choice.cols, 3);
-}
-
-TEST(BlockShape, ScatteredMatrixPrefersTinyBlocks) {
-  Rng rng(64);
-  std::vector<index_t> lens(200, 2);
-  const CooMatrix coo = make_random_sparse(200, 400, lens, rng);
-  const BlockShapeChoice choice = choose_block_shape(coo, 4, 4);
-  // Scattered nonzeros: any tile >1x1 mostly holds fill; expect 1x1-ish.
-  EXPECT_LE(choice.rows * choice.cols, 2);
-  EXPECT_THROW(choose_block_shape(coo, 0, 4), Error);
-}
-
-TEST(BlockShape, ChosenShapeBuildsAValidMatrix) {
-  Rng rng(65);
-  const CooMatrix coo = make_banded(64, 64, {0, 1}, 1.0, rng);
-  const BlockShapeChoice choice = choose_block_shape(coo);
-  const BcsrMatrix bcsr(coo, choice.rows, choice.cols);
-  EXPECT_NEAR(bcsr.fill_ratio(), choice.fill_ratio, 1e-12);
-  // Multiply still correct at the tuned shape.
-  std::vector<real_t> w = test::random_vector(64, rng);
-  std::vector<real_t> y(64);
-  bcsr.multiply_dense(w, y);
-  test::expect_near(y, test::reference_multiply(coo, w));
 }
 
 // --------------------------------------------------- SVR serialization

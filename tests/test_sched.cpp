@@ -187,6 +187,24 @@ TEST(Scheduler, ParsePolicyNames) {
   EXPECT_THROW(parse_policy("oracle"), Error);
 }
 
+TEST(Scheduler, RemovedPolicyAndFormatNamesAreRejected) {
+  // The messages must list exactly the names that are still accepted.
+  try {
+    (void)parse_policy("learned");
+    FAIL() << "parse_policy accepted 'learned'";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "unknown schedule policy 'learned' (expected "
+                           "empirical, heuristic or fixed)");
+  }
+  try {
+    (void)parse_format("BCSR");
+    FAIL() << "parse_format accepted 'BCSR'";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "unknown format name: 'BCSR' (expected DEN, CSR, "
+                           "COO, ELL, DIA, CSC, HYB or JDS)");
+  }
+}
+
 // ---------------------------------------------------------- makespan model
 
 TEST(ParallelModel, BalancedRowsHaveNoImbalance) {
