@@ -214,7 +214,6 @@ int main(int argc, char** argv) {
     ls::serve::ServeOptions opts;
     opts.workers = workers;
     opts.batcher.max_batch = 64;
-    opts.batcher.deadline_ms = 0.0;
     opts.sched.policy = ls::SchedulePolicy::kFixed;
     opts.sched.fixed_format = start;
     opts.reschedule.enabled = reschedule;

@@ -211,7 +211,6 @@ int run_replicated(const ls::CliParser& cli) {
   ls::serve::ServeOptions eopts;
   eopts.workers = static_cast<int>(cli.get_int("workers"));
   eopts.batcher.max_batch = 64;
-  eopts.batcher.deadline_ms = 1.0;
   eopts.batcher.max_queue = 2048;
   ls::serve::ServeEngine engine(eopts);
   engine.load_model("chaos", model_path);
@@ -571,7 +570,6 @@ int main(int argc, char** argv) {
   ls::serve::ServeOptions eopts;
   eopts.workers = static_cast<int>(cli.get_int("workers"));
   eopts.batcher.max_batch = 64;
-  eopts.batcher.deadline_ms = 1.0;
   eopts.batcher.max_queue = 2048;
   ls::serve::ServeEngine engine(eopts);
   engine.load_model("chaos", model_path);

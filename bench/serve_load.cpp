@@ -178,12 +178,10 @@ int main(int argc, char** argv) {
   struct Config {
     const char* label;
     index_t max_batch;
-    double deadline_ms;
   };
   const Config configs[] = {
-      {"batch=1", 1, 0.0},
-      {"batch=64 greedy", 64, 0.0},
-      {"batch=64 deadline=2ms", 64, 2.0},
+      {"batch=1", 1},
+      {"batch=64", 64},
   };
   const int concurrencies[] = {1, 2, 4, 8, 16};
 
@@ -200,7 +198,6 @@ int main(int argc, char** argv) {
       ls::serve::ServeOptions opts;
       opts.workers = workers;
       opts.batcher.max_batch = c.max_batch;
-      opts.batcher.deadline_ms = c.deadline_ms;
       opts.batcher.max_queue = 4096;
       const RunResult r =
           run_config(opts, model_path, requests, conc, total);

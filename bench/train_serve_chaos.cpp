@@ -209,7 +209,6 @@ int run(int argc, char** argv) {
   ls::serve::ServeOptions sopts;
   sopts.workers = 2;
   sopts.batcher.max_batch = 16;
-  sopts.batcher.deadline_ms = 1.0;
   sopts.batcher.max_queue = 4096;
   auto engine = std::make_unique<ls::serve::ServeEngine>(sopts);
   engine->load_model("stream", model_path);
@@ -431,7 +430,6 @@ int run(int argc, char** argv) {
   ls::serve::ServeOptions fopts;
   fopts.workers = 1;  // one scoring lane: extraction order IS the policy
   fopts.batcher.max_batch = 8;
-  fopts.batcher.deadline_ms = 1.0;
   fopts.batcher.max_queue = 8192;
   fopts.batcher.fair = true;
   ls::serve::ServeEngine fair_engine(fopts);

@@ -80,8 +80,6 @@ int run(int argc, char** argv) {
                "(0 = kernel-assigned, printed at startup)");
   cli.add_flag("workers", "2", "scoring worker threads");
   cli.add_flag("max-batch", "64", "requests coalesced per SMSV flush");
-  cli.add_flag("deadline-ms", "2",
-               "micro-batch flush deadline in ms (0 = greedy flush)");
   cli.add_flag("max-queue", "1024",
                "admission limit: queued requests beyond this are shed");
   cli.add_flag("latency-budget-ms", "0",
@@ -133,7 +131,6 @@ int run(int argc, char** argv) {
   ls::serve::ServeOptions opts;
   opts.workers = static_cast<int>(cli.get_int("workers"));
   opts.batcher.max_batch = static_cast<ls::index_t>(cli.get_int("max-batch"));
-  opts.batcher.deadline_ms = cli.get_double("deadline-ms");
   opts.batcher.max_queue =
       static_cast<std::size_t>(cli.get_int("max-queue"));
   opts.latency_budget_ms = cli.get_double("latency-budget-ms");
@@ -175,18 +172,18 @@ int run(int argc, char** argv) {
   ls::serve::ServeServer server(engine, listen);
   server.start();
   if (!listen.unix_path.empty()) {
-    std::printf("serving on unix:%s  (workers=%d batch=%d deadline=%gms "
-                "queue=%zu hint=%s)\n",
+    std::printf("serving on unix:%s  (workers=%d batch=%d queue=%zu "
+                "hint=%s)\n",
                 listen.unix_path.c_str(), opts.workers,
                 static_cast<int>(opts.batcher.max_batch),
-                opts.batcher.deadline_ms, opts.batcher.max_queue,
+                opts.batcher.max_queue,
                 ls::deployment_hint_name(opts.hint));
   } else {
     std::printf("serving on tcp:127.0.0.1:%d  (workers=%d batch=%d "
-                "deadline=%gms queue=%zu hint=%s)\n",
+                "queue=%zu hint=%s)\n",
                 server.port(), opts.workers,
                 static_cast<int>(opts.batcher.max_batch),
-                opts.batcher.deadline_ms, opts.batcher.max_queue,
+                opts.batcher.max_queue,
                 ls::deployment_hint_name(opts.hint));
   }
   if (opts.reschedule.enabled) {

@@ -24,12 +24,12 @@ MicroBatcher::MicroBatcher(BatcherOptions opts) : opts_(opts) {
 
 std::optional<std::future<PredictResult>> MicroBatcher::submit(
     std::shared_ptr<const LoadedModel> model, SparseVector x,
-    double deadline_ms, SubmitReject* reject) {
+    double budget_ms, SubmitReject* reject) {
   if (reject) *reject = SubmitReject::kNone;
   BatchRequest req;
   req.model = std::move(model);
   req.x = std::move(x);
-  req.deadline_ms = deadline_ms;
+  req.budget_ms = budget_ms;
   req.enqueued = std::chrono::steady_clock::now();
   std::future<PredictResult> fut = req.done.get_future();
   {
@@ -39,7 +39,6 @@ std::optional<std::future<PredictResult>> MicroBatcher::submit(
       if (reject) *reject = SubmitReject::kQueueFull;
       return std::nullopt;
     }
-    const LoadedModel* key = req.model.get();
     const std::string& name = req.model->name;
     auto [it, inserted] = tenants_.try_emplace(name);
     if (opts_.max_per_model > 0 && it->second.queued >= opts_.max_per_model) {
@@ -54,7 +53,6 @@ std::optional<std::future<PredictResult>> MicroBatcher::submit(
     }
     ++it->second.queued;
     queue_.push_back(std::move(req));
-    ++cohort_counts_[key];
   }
   cv_.notify_one();
   return fut;
@@ -63,83 +61,52 @@ std::optional<std::future<PredictResult>> MicroBatcher::submit(
 bool MicroBatcher::next_batch(std::vector<BatchRequest>& out) {
   out.clear();
   std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    cv_.wait(lk, [&] { return stopped_ || !queue_.empty(); });
-    if (stopped_) return false;
+  // Work-conserving: a free worker takes whatever is pending right away.
+  // Under load, batches still form while the workers are busy scoring.
+  cv_.wait(lk, [&] { return stopped_ || !queue_.empty(); });
+  if (stopped_) return false;
 
-    // A batch is open: it flushes when the same-model cohort at the front
-    // is full, or when its oldest member has waited out the deadline.
-    // Greedy mode (deadline 0) takes whatever is pending right away —
-    // under load, batches still form while the workers are busy scoring.
-    if (opts_.deadline_ms > 0) {
-      const auto flush_at =
-          queue_.front().enqueued +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double, std::milli>(opts_.deadline_ms));
-      // The "full" test must be cohort-aware: a flush only ever takes the
-      // front request's model, so a queue full of interleaved models is
-      // not a full batch — counting raw queue depth here used to flush a
-      // tiny cohort the moment mixed traffic crossed max_batch. A queue at
-      // the admission limit still flushes (shedding at the door while
-      // waiting out a deadline would be worse than a partial batch).
-      const bool full_or_stopped = cv_.wait_until(lk, flush_at, [&] {
-        return stopped_ || queue_.empty() ||
-               (opts_.fair ? any_cohort_full_locked()
-                           : front_cohort_full_locked()) ||
-               queue_.size() >= opts_.max_queue;
-      });
-      if (stopped_) return false;
-      if (queue_.empty()) continue;  // another worker drained the queue
-      (void)full_or_stopped;  // timeout = deadline flush, equally valid
+  // Choose the cohort to flush: plain mode takes the front request's
+  // model (FIFO); fair mode takes the least-served tenant's frontmost
+  // model so a flooding tenant cannot push a trickling one behind its
+  // whole backlog. Extraction preserves arrival order within the cohort.
+  const LoadedModel* cohort =
+      opts_.fair ? fair_cohort_locked() : queue_.front().model.get();
+  std::deque<BatchRequest> rest;
+  while (!queue_.empty() &&
+         static_cast<index_t>(out.size()) < opts_.max_batch) {
+    if (queue_.front().model.get() == cohort) {
+      out.push_back(std::move(queue_.front()));
+    } else {
+      rest.push_back(std::move(queue_.front()));
     }
-
-    // Choose the cohort to flush: plain mode takes the front request's
-    // model (FIFO); fair mode takes the least-served tenant's frontmost
-    // model so a flooding tenant cannot push a trickling one behind its
-    // whole backlog. Extraction preserves arrival order within the cohort.
-    const LoadedModel* cohort =
-        opts_.fair ? fair_cohort_locked() : queue_.front().model.get();
-    std::deque<BatchRequest> rest;
-    while (!queue_.empty() &&
-           static_cast<index_t>(out.size()) < opts_.max_batch) {
-      if (queue_.front().model.get() == cohort) {
-        // Leaving the queue for good: release its per-model count. The
-        // skipped other-model requests are re-prepended below and keep
-        // theirs.
-        cohort_release_locked(cohort);
-        out.push_back(std::move(queue_.front()));
-      } else {
-        rest.push_back(std::move(queue_.front()));
-      }
-      queue_.pop_front();
-    }
-    // Re-prepend the skipped other-model requests in their original order.
-    for (auto it = rest.rbegin(); it != rest.rend(); ++it) {
-      queue_.push_front(std::move(*it));
-    }
-    // Advance the served tenant's virtual clock and release its queued
-    // quota slots.
-    if (!out.empty()) {
-      const std::string& name = out.front().model->name;
-      const auto it = tenants_.find(name);
-      if (it != tenants_.end()) {
-        it->second.service +=
-            static_cast<double>(out.size()) / weight_of(name);
-        virtual_time_ = it->second.service / weight_of(name);
-        it->second.queued -= std::min(it->second.queued, out.size());
-        if (it->second.queued == 0) tenants_.erase(it);
-      }
-    }
-    if (!queue_.empty()) {
-      // Leftover work (other models, or overflow past max_batch): hand it
-      // to another worker instead of waiting for the next submit.
-      cv_.notify_one();
-    }
-    // Claim the in-flight slot before the lock drops: from here until
-    // batch_done() the batcher is not quiesced, with no gap in between.
-    ++in_flight_;
-    return true;
+    queue_.pop_front();
   }
+  // Re-prepend the skipped other-model requests in their original order.
+  for (auto it = rest.rbegin(); it != rest.rend(); ++it) {
+    queue_.push_front(std::move(*it));
+  }
+  // Advance the served tenant's virtual clock and release its queued
+  // quota slots.
+  if (!out.empty()) {
+    const std::string& name = out.front().model->name;
+    const auto it = tenants_.find(name);
+    if (it != tenants_.end()) {
+      it->second.service += static_cast<double>(out.size()) / weight_of(name);
+      virtual_time_ = it->second.service / weight_of(name);
+      it->second.queued -= std::min(it->second.queued, out.size());
+      if (it->second.queued == 0) tenants_.erase(it);
+    }
+  }
+  if (!queue_.empty()) {
+    // Leftover work (other models, or overflow past max_batch): hand it
+    // to another worker instead of waiting for the next submit.
+    cv_.notify_one();
+  }
+  // Claim the in-flight slot before the lock drops: from here until
+  // batch_done() the batcher is not quiesced, with no gap in between.
+  ++in_flight_;
+  return true;
 }
 
 void MicroBatcher::batch_done() {
@@ -150,18 +117,6 @@ void MicroBatcher::batch_done() {
 bool MicroBatcher::quiesced() const {
   std::lock_guard<std::mutex> lk(mu_);
   return queue_.empty() && in_flight_ == 0;
-}
-
-bool MicroBatcher::front_cohort_full_locked() const {
-  const auto it = cohort_counts_.find(queue_.front().model.get());
-  return it != cohort_counts_.end() && it->second >= opts_.max_batch;
-}
-
-bool MicroBatcher::any_cohort_full_locked() const {
-  for (const auto& [model, count] : cohort_counts_) {
-    if (count >= opts_.max_batch) return true;
-  }
-  return false;
 }
 
 const LoadedModel* MicroBatcher::fair_cohort_locked() const {
@@ -191,19 +146,12 @@ double MicroBatcher::weight_of(const std::string& name) const {
   return w > 0.0 ? w : 1.0;
 }
 
-void MicroBatcher::cohort_release_locked(const LoadedModel* m) {
-  const auto it = cohort_counts_.find(m);
-  if (it == cohort_counts_.end()) return;
-  if (--it->second <= 0) cohort_counts_.erase(it);
-}
-
 void MicroBatcher::stop() {
   std::deque<BatchRequest> drained;
   {
     std::lock_guard<std::mutex> lk(mu_);
     stopped_ = true;
     drained.swap(queue_);
-    cohort_counts_.clear();
     tenants_.clear();
   }
   cv_.notify_all();

@@ -1,21 +1,25 @@
-// Adaptive micro-batcher: the bounded request queue of the serving engine.
+// Work-conserving micro-batcher: the bounded request queue of the serving
+// engine.
 //
 // Concurrent predict requests are coalesced into batches that the worker
 // pool scores with one multiply_dense_batch stream instead of one SMSV per
 // request. Flush policy (the batcher state machine, DESIGN.md §12):
 //
-//   empty   --submit-->  filling
-//   filling --pending >= max_batch--------------->  flush (full)
-//   filling --oldest pending older than deadline-->  flush (deadline)
-//   filling --deadline == 0----------------------->  flush (greedy: take
-//                                                    whatever is pending)
+//   empty   --submit------------------------------------->  pending
+//   pending --a worker is free, cohort >= max_batch------>  flush (full:
+//                                                           max_batch taken,
+//                                                           the rest stays)
+//   pending --a worker is free--------------------------->  flush (take the
+//                                                           whole cohort)
 //
-// A flush extracts the longest same-model prefix cohort (batches never mix
-// models — they share one BatchPredictor call), up to max_batch requests.
-// Admission control happens at submit(): when the queue already holds
-// max_queue requests the submission is rejected immediately — shedding at
-// the door is cheaper than timing out after queueing (the PR 1 degradation
-// philosophy applied to traffic).
+// No request ever waits for company: a free worker takes whatever is
+// pending at once, and batches form naturally while every worker is busy
+// scoring. A flush extracts one model's queued requests in arrival order
+// (batches never mix models — they share one BatchPredictor call), up to
+// max_batch requests. Admission control happens at submit(): when the
+// queue already holds max_queue requests the submission is rejected
+// immediately — shedding at the door is cheaper than timing out after
+// queueing.
 #pragma once
 
 #include <chrono>
@@ -42,7 +46,7 @@ namespace ls::serve {
 struct BatchRequest {
   std::shared_ptr<const LoadedModel> model;
   SparseVector x;
-  double deadline_ms = 0.0;
+  double budget_ms = 0.0;
   std::chrono::steady_clock::time_point enqueued;
   std::promise<PredictResult> done;
 };
@@ -52,10 +56,6 @@ struct BatcherOptions {
   /// Requests per flush; also the SMSV batch width (clamped to
   /// [1, kMaxSmsvBatch] by the engine).
   index_t max_batch = 64;
-  /// Maximum time a pending request waits for its batch to fill before a
-  /// partial flush. 0 = greedy: flush whatever is pending as soon as a
-  /// worker is free (batches still form naturally while workers are busy).
-  double deadline_ms = 2.0;
   /// Admission limit: submissions beyond this queue depth are shed.
   std::size_t max_queue = 1024;
   /// Per-tenant admission quota: a model name with this many requests
@@ -82,7 +82,7 @@ enum class SubmitReject : std::uint8_t {
   kModelQuota = 2,
 };
 
-/// Bounded, deadline-flushed request queue (thread-safe).
+/// Bounded, work-conserving request queue (thread-safe).
 class MicroBatcher {
  public:
   explicit MicroBatcher(BatcherOptions opts);
@@ -95,14 +95,14 @@ class MicroBatcher {
   /// with kShuttingDown.
   std::optional<std::future<PredictResult>> submit(
       std::shared_ptr<const LoadedModel> model, SparseVector x,
-      double deadline_ms = 0.0, SubmitReject* reject = nullptr);
+      double budget_ms = 0.0, SubmitReject* reject = nullptr);
 
-  /// Blocks until a batch is ready under the flush policy, then moves it
-  /// into `out` (previous contents discarded). Returns false when the
-  /// batcher was stopped and the queue fully drained — the worker's exit
-  /// signal. A successful extraction claims one in-flight batch *under the
-  /// queue lock*, so there is no instant at which a batch has left the
-  /// queue but is not yet accounted for — the drain predicate
+  /// Blocks until a request is pending, then moves the cohort chosen by
+  /// the flush policy into `out` (previous contents discarded). Returns
+  /// false when the batcher was stopped and the queue fully drained — the
+  /// worker's exit signal. A successful extraction claims one in-flight
+  /// batch *under the queue lock*, so there is no instant at which a batch
+  /// has left the queue but is not yet accounted for — the drain predicate
   /// (quiesced()) can never observe "empty and idle" while a batch is
   /// about to be scored. The worker releases the claim with batch_done().
   bool next_batch(std::vector<BatchRequest>& out);
@@ -127,24 +127,9 @@ class MicroBatcher {
   const BatcherOptions& options() const { return opts_; }
 
  private:
-  /// True when the front request's model has a full cohort queued (the
-  /// only thing a flush can actually take). One hash lookup against the
-  /// incrementally maintained per-model counts — this runs inside the
-  /// deadline-mode cv_ wait predicate on every submit notification, so it
-  /// must not scan the queue (an O(queue) scan there goes quadratic under
-  /// deep mixed-model queues). mu_ held.
-  bool front_cohort_full_locked() const;
-  /// Fair-mode flush test: true when ANY queued cohort is full — fair
-  /// extraction may take a cohort other than the front's, so the front-only
-  /// test would sleep through a full cohort further back. O(#distinct
-  /// queued model versions), which tenancy keeps small. mu_ held.
-  bool any_cohort_full_locked() const;
   /// Fair-mode cohort choice: the model of the frontmost queued request
   /// belonging to the tenant with minimal normalised service. mu_ held.
   const LoadedModel* fair_cohort_locked() const;
-  /// Drops one queued-request count for `m`, erasing the entry at zero so
-  /// the map tracks only models currently queued. mu_ held.
-  void cohort_release_locked(const LoadedModel* m);
   /// Tenant weight (1.0 unless configured).
   double weight_of(const std::string& name) const;
 
@@ -152,11 +137,6 @@ class MicroBatcher {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<BatchRequest> queue_;
-  /// Queued (not yet extracted) requests per model identity — maintained
-  /// on every push/pop so the flush predicate is O(1). Invariant: for
-  /// every model pointer, cohort_counts_[m] == number of queue_ entries
-  /// whose request pins m, and absent means zero (mu_).
-  std::unordered_map<const LoadedModel*, index_t> cohort_counts_;
   /// Per-tenant accounting, keyed by model *name* (a tenant spans versions
   /// across reloads). `queued` backs the admission quota; `service` is the
   /// weighted-fair virtual clock: it advances by batch_size / weight on

@@ -228,7 +228,9 @@ void ServeEngine::score_batch(std::vector<BatchRequest>& batch) {
   live.reserve(batch.size());
   for (BatchRequest& req : batch) {
     const double waited_ms = ms_since(req.enqueued, now);
-    if (req.deadline_ms > 0 && waited_ms > req.deadline_ms) {
+    // Queue stage (enqueue to dequeue), timed whatever the outcome.
+    metrics::timer_record("serve.stage.queue_seconds", waited_ms / 1e3);
+    if (req.budget_ms > 0 && waited_ms > req.budget_ms) {
       shed_expired_total_.fetch_add(1, std::memory_order_release);
       metrics::counter_add("serve.shed_total");
       metrics::counter_add("serve.shed_expired_total");

@@ -430,7 +430,6 @@ TEST(Rescheduler, SwapsAreValueStableUnderConcurrentPredicts) {
   ServeOptions opts;
   opts.workers = 2;
   opts.batcher.max_batch = 8;
-  opts.batcher.deadline_ms = 0.0;
   opts.sched = fixed_csr();
   opts.reschedule = test_policy();
   ServeEngine engine(opts);
