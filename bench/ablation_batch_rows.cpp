@@ -1,14 +1,13 @@
-// Ablation: batched kernel-row fetch. The SMO prefetch pipeline,
-// batch_predict and cross-validation all fetch kernel rows through
-// RowKernelSource::compute_rows, which streams the data matrix once per
-// block of B right-hand sides (multiply_dense_batch) instead of once per
-// row. This bench measures the per-row win of that batching against the
-// per-row compute_row loop, per format and per batch size.
+// Ablation: batched SMSV. BatchPredictor and the serving probe score a
+// block of B right-hand sides with one AnyMatrix::multiply_dense_batch,
+// which streams the stored matrix once per block instead of once per
+// vector. This bench measures the per-row win of that batching against B
+// calls of the single-rhs multiply_dense, per format and per batch size.
 //
-// The win is pure memory-traffic amortisation: gather/scatter and the
-// kernel map cost the same on both paths, but the matrix (values + index
-// structures) is read B times less often. Formats that stream the most
-// bytes per row (DEN, ELL, DIA) gain the most.
+// The win is pure memory-traffic amortisation: both paths do the same
+// multiply-adds, but the matrix (values + index structures) is read B
+// times less often. Formats that stream the most bytes per row (DEN, ELL,
+// DIA) gain the most.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -16,48 +15,75 @@
 #include "bench_common.hpp"
 #include "common/csv.hpp"
 #include "data/profiles.hpp"
-#include "svm/kernel_engine.hpp"
 
 namespace {
 
 using namespace ls;
 
-/// Per-row seconds for fetching `rows` kernel rows through the batched
-/// entry point (one multiply_dense_batch per block of kMaxSmsvBatch).
-double batched_row_seconds(FormatKernelEngine& engine,
-                           std::span<const index_t> rows,
-                           std::vector<real_t>& out) {
-  const double secs =
-      time_best([&] { engine.compute_rows(rows, out); }, 3, 0.002);
-  return secs / static_cast<double>(rows.size());
+/// The right-hand sides of one block: B gathered data rows, both as B
+/// dense vectors (loop path) and as one interleaved block, W[c*B + k] =
+/// entry c of rhs k (batched path).
+struct RhsBlock {
+  index_t b = 0;
+  std::vector<std::vector<real_t>> single;  // B x cols
+  std::vector<real_t> interleaved;          // cols * B
+};
+
+RhsBlock make_block(const AnyMatrix& mat, index_t b, Rng& rng) {
+  RhsBlock blk;
+  blk.b = b;
+  const auto d = static_cast<std::size_t>(mat.cols());
+  blk.interleaved.assign(d * static_cast<std::size_t>(b), 0.0);
+  SparseVector row;
+  for (index_t k = 0; k < b; ++k) {
+    mat.gather_row(rng.uniform_int(0, mat.rows() - 1), row);
+    std::vector<real_t>& w = blk.single.emplace_back(d, 0.0);
+    row.scatter(w);
+    const auto idx = row.indices();
+    const auto val = row.values();
+    for (std::size_t e = 0; e < idx.size(); ++e) {
+      blk.interleaved[static_cast<std::size_t>(idx[e] * b + k)] = val[e];
+    }
+  }
+  return blk;
 }
 
-/// Per-row seconds for the pre-batching baseline: one compute_row call
-/// (gather + scatter + single-rhs SMSV + kernel map) per requested row.
-double loop_row_seconds(FormatKernelEngine& engine,
-                        std::span<const index_t> rows,
-                        std::vector<real_t>& out) {
-  const auto n = static_cast<std::size_t>(engine.num_rows());
+/// Per-row seconds for one multiply_dense_batch over the whole block.
+double batched_row_seconds(const AnyMatrix& mat, const RhsBlock& blk,
+                           std::vector<real_t>& y) {
+  const auto need =
+      static_cast<std::size_t>(mat.rows()) * static_cast<std::size_t>(blk.b);
+  const std::span<real_t> out(y.data(), need);
+  const double secs = time_best(
+      [&] { mat.multiply_dense_batch(blk.interleaved, blk.b, out); }, 3,
+      0.002);
+  return secs / static_cast<double>(blk.b);
+}
+
+/// Per-row seconds for the unbatched baseline: one single-rhs
+/// multiply_dense per vector of the block.
+double loop_row_seconds(const AnyMatrix& mat, const RhsBlock& blk,
+                        std::vector<real_t>& y) {
+  const auto m = static_cast<std::size_t>(mat.rows());
   const double secs = time_best(
       [&] {
-        for (std::size_t k = 0; k < rows.size(); ++k) {
-          engine.compute_row(rows[k],
-                             std::span<real_t>(out.data() + k * n, n));
+        for (std::size_t k = 0; k < blk.single.size(); ++k) {
+          mat.multiply_dense(blk.single[k],
+                             std::span<real_t>(y.data() + k * m, m));
         }
       },
       3, 0.002);
-  return secs / static_cast<double>(rows.size());
+  return secs / static_cast<double>(blk.b);
 }
 
 }  // namespace
 
 int main() {
-  bench::banner("Ablation: batched kernel rows",
-                "compute_rows (blocked SpMM) vs per-row compute_row loop");
+  bench::banner("Ablation: batched SMSV",
+                "multiply_dense_batch vs B single-rhs multiply_dense calls");
 
   const std::vector<index_t> batch_sizes = {2, 4, 8, 16, 32};
-  KernelParams kernel;
-  kernel.type = KernelType::kLinear;  // keeps the (shared) map cost minimal
+  const index_t max_b = batch_sizes.back();
 
   Table table({"Dataset", "Format", "B", "us/row (loop)", "us/row (batch)",
                "speedup"});
@@ -72,16 +98,22 @@ int main() {
 
     for (Format f : kExtendedFormats) {
       const AnyMatrix mat = AnyMatrix::from_coo(ds.X, f);
-      FormatKernelEngine engine(mat, kernel);
-      const auto n = static_cast<std::size_t>(engine.num_rows());
+      std::vector<real_t> y(static_cast<std::size_t>(mat.rows()) *
+                            static_cast<std::size_t>(max_b));
+
+      // Untimed warm-up of both paths: the first touch of a freshly
+      // materialised matrix (page faults, thread-team start-up) must not
+      // land in the first batch size's timings.
+      {
+        const RhsBlock warm = make_block(mat, max_b, rng);
+        (void)loop_row_seconds(mat, warm, y);
+        (void)batched_row_seconds(mat, warm, y);
+      }
 
       for (index_t b : batch_sizes) {
-        std::vector<index_t> rows(static_cast<std::size_t>(b));
-        for (index_t& r : rows) r = rng.uniform_int(0, ds.rows() - 1);
-        std::vector<real_t> out(static_cast<std::size_t>(b) * n);
-
-        const double batched = batched_row_seconds(engine, rows, out);
-        const double loop = loop_row_seconds(engine, rows, out);
+        const RhsBlock blk = make_block(mat, b, rng);
+        const double batched = batched_row_seconds(mat, blk, y);
+        const double loop = loop_row_seconds(mat, blk, y);
         const double speedup = batched > 0 ? loop / batched : 0.0;
 
         table.add_row({name, std::string(format_name(f)), std::to_string(b),

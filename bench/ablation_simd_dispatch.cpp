@@ -5,7 +5,7 @@
 // SMSV (gather-dot), single-rhs and batched. Acceptance bar: on a host
 // whose best level is at least AVX2, the native table must run the
 // dense-gather paths and the batched CSR SMSV path (the one the serve
-// batcher and compute_rows drive) at least 2x faster than the scalar
+// batcher and BatchPredictor drive) at least 2x faster than the scalar
 // table, or the bench exits non-zero. The single-rhs CSR gather-dot is
 // reported but not gated: its rows are independent, so out-of-order
 // execution already extracts the ILP on the scalar side and the vector

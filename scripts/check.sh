@@ -3,9 +3,9 @@
 # Release build (run serially, with OMP_NUM_THREADS=2, and once per
 # LS_SIMD level the host supports, all of which must agree), an
 # AddressSanitizer + UBSan build (-DLS_SANITIZE=ON), and a
-# ThreadSanitizer build (-DLS_SANITIZE=thread) that checks the kernel-cache
-# prefetch pipeline's std::thread machinery. All must be green before a
-# change lands.
+# ThreadSanitizer build (-DLS_SANITIZE=thread) that checks the std::thread
+# code (serving batcher and workers, rescheduler thread, router prober,
+# trainer cadence, WAL). All must be green before a change lands.
 #
 # Usage: scripts/check.sh [--plain-only|--sanitize-only|--tsan-only]
 set -euo pipefail
@@ -587,7 +587,8 @@ fi
 if [[ "${mode}" == "all" || "${mode}" == "--tsan-only" ]]; then
   # TSan stage: compiled without OpenMP (libgomp is not TSan-instrumented,
   # see the top-level CMakeLists), so this exercises the std::thread code —
-  # the prefetch pipeline, its atomic counters and the worker join paths.
+  # the serving batcher and workers, the rescheduler thread, the router
+  # prober, the trainer cadence and the WAL.
   run_suite build-tsan -DLS_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   serve_smoke build-tsan
   reschedule_smoke build-tsan

@@ -113,7 +113,7 @@ ScheduleDecision EmpiricalAutotuner::choose(const CooMatrix& x) const {
   // Optional batched probe dimension: the same gathered row replicated as
   // an interleaved block of `batch_rows` right-hand sides. When enabled the
   // race is decided on the per-row batched score, the regime batch_predict
-  // and the SMO prefetch pipeline actually run in.
+  // and the serving micro-batcher actually run in.
   const index_t batch_rows =
       std::clamp<index_t>(opts_.batch_rows, 1, kMaxSmsvBatch);
   std::vector<real_t> wb;

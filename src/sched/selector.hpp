@@ -96,8 +96,8 @@ struct AutotuneOptions {
   /// Right-hand sides per probe multiply. 1 probes the single-rhs SMSV the
   /// solver's hot loop issues; > 1 (clamped to kMaxSmsvBatch) additionally
   /// probes multiply_dense_batch and races candidates on the per-row
-  /// batched score — the regime batch_predict and the prefetch pipeline
-  /// run in.
+  /// batched score — the regime batch_predict and the serving
+  /// micro-batcher run in.
   index_t batch_rows = 1;
 };
 

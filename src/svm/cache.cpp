@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/failpoint.hpp"
-#include "common/metrics.hpp"
 
 namespace ls {
 
@@ -19,98 +18,28 @@ KernelCache::KernelCache(RowKernelSource& source, std::size_t budget_bytes)
                             : 2;
 }
 
-KernelCache::~KernelCache() {
-  if (worker_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    worker_.join();
-  }
-}
-
-void KernelCache::insert_front(Entry entry) {
-  lru_.push_front(std::move(entry));
-  map_[lru_.front().row] = lru_.begin();
+KernelCache::Entry KernelCache::take_lru() {
+  Entry entry = std::move(lru_.back());
+  map_.erase(entry.row);
+  lru_.pop_back();
   resident_.store(map_.size(), std::memory_order_release);
-}
-
-void KernelCache::evict_to_capacity() {
-  while (map_.size() > max_rows_) {
-    const index_t victim = lru_.back().row;
-    if (unused_prefetch_.erase(victim) > 0) {
-      pipeline_misses_.fetch_add(1, std::memory_order_release);
-      metrics::counter_add("svm.cache.pipeline_misses_total");
-    }
-    map_.erase(victim);
-    lru_.pop_back();
-  }
-  resident_.store(map_.size(), std::memory_order_release);
-}
-
-void KernelCache::wait_idle_and_drain(std::unique_lock<std::mutex>& lk) {
-  cv_.wait(lk, [&] { return !worker_busy_; });
-  if (done_rows_.empty()) return;
-  const auto m = static_cast<std::size_t>(source_->num_rows());
-  for (std::size_t k = 0; k < done_rows_.size(); ++k) {
-    const index_t row = done_rows_[k];
-    if (map_.contains(row)) continue;  // raced with a synchronous miss
-    Entry entry;
-    entry.row = row;
-    const real_t* src = done_buf_.data() + k * m;
-    entry.data.assign(src, src + m);
-    insert_front(std::move(entry));
-    unused_prefetch_.insert(row);
-  }
-  done_rows_.clear();
-  done_buf_.clear();
-  evict_to_capacity();
+  return entry;
 }
 
 std::span<const real_t> KernelCache::get_row(index_t i) {
   const auto it = map_.find(i);
   if (it != map_.end()) {
     hits_.fetch_add(1, std::memory_order_release);
-    if (unused_prefetch_.erase(i) > 0) {
-      pipeline_hits_.fetch_add(1, std::memory_order_release);
-      metrics::counter_add("svm.cache.pipeline_hits_total");
-    }
     // Move to front (most recently used).
     lru_.splice(lru_.begin(), lru_, it->second);
     return it->second->data;
-  }
-
-  if (worker_.joinable()) {
-    // The requested row may be in flight, and even if it is not, the worker
-    // owns the kernel engine's scratch buffers until it finishes — a
-    // synchronous compute_row must wait either way.
-    std::unique_lock<std::mutex> lk(mu_);
-    wait_idle_and_drain(lk);
-    const auto again = map_.find(i);
-    if (again != map_.end()) {
-      hits_.fetch_add(1, std::memory_order_release);
-      if (unused_prefetch_.erase(i) > 0) {
-        pipeline_hits_.fetch_add(1, std::memory_order_release);
-        metrics::counter_add("svm.cache.pipeline_hits_total");
-      }
-      lru_.splice(lru_.begin(), lru_, again->second);
-      return again->second->data;
-    }
   }
 
   misses_.fetch_add(1, std::memory_order_release);
   Entry entry;
   if (map_.size() >= max_rows_) {
     // Recycle the least-recently-used buffer instead of reallocating.
-    entry = std::move(lru_.back());
-    if (unused_prefetch_.erase(entry.row) > 0) {
-      pipeline_misses_.fetch_add(1, std::memory_order_release);
-      metrics::counter_add("svm.cache.pipeline_misses_total");
-    }
-    map_.erase(entry.row);
-    lru_.pop_back();
-    resident_.store(map_.size(), std::memory_order_release);
+    entry = take_lru();
   } else {
     try {
       LS_FAILPOINT("svm.cache.alloc");
@@ -123,80 +52,15 @@ std::span<const real_t> KernelCache::get_row(index_t i) {
       // hold a live span to the single resident row), so propagate.
       if (lru_.size() < 2) throw;
       max_rows_ = std::max<std::size_t>(2, map_.size());
-      entry = std::move(lru_.back());
-      if (unused_prefetch_.erase(entry.row) > 0) {
-        pipeline_misses_.fetch_add(1, std::memory_order_release);
-        metrics::counter_add("svm.cache.pipeline_misses_total");
-      }
-      map_.erase(entry.row);
-      lru_.pop_back();
-      resident_.store(map_.size(), std::memory_order_release);
+      entry = take_lru();
     }
   }
   entry.row = i;
   source_->compute_row(i, entry.data);
-  insert_front(std::move(entry));
+  lru_.push_front(std::move(entry));
+  map_[i] = lru_.begin();
+  resident_.store(map_.size(), std::memory_order_release);
   return lru_.front().data;
-}
-
-void KernelCache::prefetch(std::span<const index_t> rows) {
-  if (rows.empty() || max_rows_ <= 2) return;
-
-  std::unique_lock<std::mutex> lk(mu_);
-  if (worker_busy_) return;  // pipeline full: this generation is skipped
-  if (!done_rows_.empty()) wait_idle_and_drain(lk);  // idle, so no blocking
-
-  // Candidate filter: not resident, not duplicated, and never more than the
-  // cache headroom (capacity minus the two live SMO rows).
-  const std::size_t headroom = max_rows_ - 2;
-  req_.clear();
-  for (index_t row : rows) {
-    if (req_.size() >= headroom) break;
-    if (map_.contains(row)) continue;
-    if (std::find(req_.begin(), req_.end(), row) != req_.end()) continue;
-    req_.push_back(row);
-  }
-  if (req_.empty()) return;
-
-  prefetched_rows_.fetch_add(static_cast<std::int64_t>(req_.size()),
-                             std::memory_order_release);
-  metrics::counter_add("svm.cache.prefetch_rows_total",
-                       static_cast<std::int64_t>(req_.size()));
-  worker_busy_ = true;
-  if (!worker_.joinable()) {
-    worker_ = std::thread([this] { worker_loop(); });
-  }
-  lk.unlock();
-  cv_.notify_all();
-}
-
-void KernelCache::worker_loop() {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    cv_.wait(lk, [&] { return stop_ || !req_.empty(); });
-    if (stop_) return;
-    std::vector<index_t> req = std::move(req_);
-    req_.clear();
-    lk.unlock();
-
-    std::vector<index_t> done;
-    std::vector<real_t> buf;
-    try {
-      buf.resize(req.size() * static_cast<std::size_t>(source_->num_rows()));
-      source_->compute_rows(req, buf);
-      done = std::move(req);
-    } catch (...) {
-      // Prefetch is best effort; a failed batch just means more misses.
-      done.clear();
-      buf.clear();
-    }
-
-    lk.lock();
-    done_rows_ = std::move(done);
-    done_buf_ = std::move(buf);
-    worker_busy_ = false;
-    cv_.notify_all();
-  }
 }
 
 }  // namespace ls

@@ -1,28 +1,16 @@
-// LRU kernel-row cache, equivalent to LIBSVM's Cache class, plus an
-// optional double-buffered prefetch pipeline.
+// LRU kernel-row cache, equivalent to LIBSVM's Cache class.
 //
 // SMO revisits a small working set of rows many times (the same violating
 // pairs recur as alpha values bounce along the box constraints), so caching
 // kernel rows converts most row requests into O(1) hits. The ablation bench
 // bench/ablation_kernel_cache measures the effect.
-//
-// The pipeline adds a second buffer: while the solver consumes the rows of
-// iteration t, a worker thread computes the *predicted* rows of iteration
-// t+1 through the engine's batched path (one matrix stream for the whole
-// candidate set). The solver and the worker never run the kernel engine
-// concurrently — a cache miss first waits for any in-flight prefetch to
-// finish — so the engine's scratch buffers need no locking.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <list>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/error.hpp"
@@ -35,11 +23,8 @@ namespace ls {
 class KernelCache {
  public:
   /// `source` must outlive the cache. `budget_bytes` bounds the total size
-  /// of cached rows (at least one row is always cacheable).
+  /// of cached rows (at least two rows are always cacheable).
   KernelCache(RowKernelSource& source, std::size_t budget_bytes);
-
-  /// Joins the prefetch worker, if one was ever started.
-  ~KernelCache();
 
   KernelCache(const KernelCache&) = delete;
   KernelCache& operator=(const KernelCache&) = delete;
@@ -48,21 +33,14 @@ class KernelCache {
   /// the next get_row call (eviction may recycle the buffer).
   std::span<const real_t> get_row(index_t i);
 
-  /// Asks the worker thread to compute the given candidate rows in the
-  /// background (batched). Best effort: rows already resident are skipped,
-  /// the count is clamped to the cache headroom (capacity minus the two
-  /// live SMO rows), and the call is a no-op while a previous prefetch is
-  /// still in flight. Results are folded into the LRU on the next get_row.
-  void prefetch(std::span<const index_t> rows);
-
   real_t diagonal(index_t i) const { return source_->diagonal(i); }
   index_t num_rows() const { return source_->num_rows(); }
 
   // Statistics accessors are safe to call from any thread while the solver
-  // and the prefetch worker run: every counter update is a release store
-  // and every read here an acquire load, so a snapshot (e.g. the serving
-  // engine's stats endpoint) observes a consistent monotone value instead
-  // of racing a plain increment.
+  // runs: every counter update is a release store and every read here an
+  // acquire load, so a snapshot (e.g. the serving engine's stats endpoint)
+  // observes a consistent monotone value instead of racing a plain
+  // increment.
   std::int64_t hits() const { return hits_.load(std::memory_order_acquire); }
   std::int64_t misses() const {
     return misses_.load(std::memory_order_acquire);
@@ -70,19 +48,6 @@ class KernelCache {
   double hit_rate() const {
     const double total = static_cast<double>(hits() + misses());
     return total > 0 ? static_cast<double>(hits()) / total : 0.0;
-  }
-
-  /// Rows handed to the prefetch worker so far.
-  std::int64_t prefetched_rows() const {
-    return prefetched_rows_.load(std::memory_order_acquire);
-  }
-  /// Prefetched rows later served from cache (the pipeline paid off).
-  std::int64_t pipeline_hits() const {
-    return pipeline_hits_.load(std::memory_order_acquire);
-  }
-  /// Prefetched rows evicted before anyone asked for them (wasted work).
-  std::int64_t pipeline_misses() const {
-    return pipeline_misses_.load(std::memory_order_acquire);
   }
 
   /// Rows currently resident. Mirrors map_.size() through an atomic so
@@ -97,12 +62,9 @@ class KernelCache {
     std::vector<real_t> data;
   };
 
-  void worker_loop();
-  /// Blocks until no prefetch is in flight, then folds finished rows into
-  /// the LRU structure. Must be called with mu_ held.
-  void wait_idle_and_drain(std::unique_lock<std::mutex>& lk);
-  void insert_front(Entry entry);
-  void evict_to_capacity();
+  /// Unlinks the least-recently-used entry and returns it, buffer intact,
+  /// for reuse.
+  Entry take_lru();
 
   RowKernelSource* source_;
   std::size_t max_rows_;
@@ -111,21 +73,6 @@ class KernelCache {
   std::atomic<std::int64_t> hits_{0};
   std::atomic<std::int64_t> misses_{0};
   std::atomic<std::size_t> resident_{0};  // == map_.size(), for snapshots
-
-  // Pipeline state. mu_ guards req_/done_*/worker_busy_/stop_; the LRU
-  // structures above are touched only by the caller thread.
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread worker_;
-  bool worker_busy_ = false;
-  bool stop_ = false;
-  std::vector<index_t> req_;        // rows the worker should compute next
-  std::vector<index_t> done_rows_;  // rows the worker finished
-  std::vector<real_t> done_buf_;    // their kernel rows, concatenated
-  std::unordered_set<index_t> unused_prefetch_;  // resident but never hit
-  std::atomic<std::int64_t> prefetched_rows_{0};
-  std::atomic<std::int64_t> pipeline_hits_{0};
-  std::atomic<std::int64_t> pipeline_misses_{0};
 };
 
 }  // namespace ls

@@ -1,9 +1,6 @@
 #include "svm/kernel_engine.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
-#include "common/metrics.hpp"
 #include "common/parallel.hpp"
 
 namespace ls {
@@ -22,15 +19,6 @@ std::vector<real_t> row_norms(const AnyMatrix& x) {
 }
 
 }  // namespace
-
-void RowKernelSource::compute_rows(std::span<const index_t> rows,
-                                   std::span<real_t> out) {
-  const auto m = static_cast<std::size_t>(num_rows());
-  LS_CHECK(out.size() == rows.size() * m, "kernel rows buffer size mismatch");
-  for (std::size_t k = 0; k < rows.size(); ++k) {
-    compute_row(rows[k], out.subspan(k * m, m));
-  }
-}
 
 FormatKernelEngine::FormatKernelEngine(const AnyMatrix& x,
                                        const KernelParams& params)
@@ -67,72 +55,6 @@ void FormatKernelEngine::compute_row(index_t i, std::span<real_t> out) {
 
   // O(nnz_row) cleanup keeps the workspace all-zero for the next call.
   row_.unscatter(workspace_);
-}
-
-void FormatKernelEngine::compute_rows(std::span<const index_t> rows,
-                                      std::span<real_t> out) {
-  const index_t m = x_->rows();
-  LS_CHECK(out.size() == rows.size() * static_cast<std::size_t>(m),
-           "kernel rows buffer size mismatch");
-  if (rows.empty()) return;
-
-  const index_t d = x_->cols();
-  const real_t* __restrict norms = norms_.data();
-  for (std::size_t base = 0; base < rows.size(); base += kMaxSmsvBatch) {
-    const index_t b = static_cast<index_t>(
-        std::min<std::size_t>(kMaxSmsvBatch, rows.size() - base));
-    rows_computed_.fetch_add(b, std::memory_order_release);
-    metrics::counter_add("kernel.batch_rows_total", b);
-
-    // Lazy grow: the buffers track the widest chunk seen. Slots left over
-    // from a wider previous chunk are zero (unscattered below), so a
-    // narrower reuse is safe.
-    const auto need_w =
-        static_cast<std::size_t>(d) * static_cast<std::size_t>(b);
-    const auto need_y =
-        static_cast<std::size_t>(m) * static_cast<std::size_t>(b);
-    if (batch_w_.size() < need_w) batch_w_.resize(need_w, 0.0);
-    if (batch_y_.size() < need_y) batch_y_.resize(need_y, 0.0);
-    batch_rows_.resize(static_cast<std::size_t>(b));
-
-    // Gather + interleaved scatter: column c of rhs k lives at w[c*b + k].
-    for (index_t k = 0; k < b; ++k) {
-      SparseVector& row = batch_rows_[static_cast<std::size_t>(k)];
-      x_->gather_row(rows[base + static_cast<std::size_t>(k)], row);
-      const auto idx = row.indices();
-      const auto val = row.values();
-      for (std::size_t e = 0; e < idx.size(); ++e) {
-        batch_w_[static_cast<std::size_t>(idx[e] * b + k)] = val[e];
-      }
-    }
-
-    // One batched SMSV streams the matrix once for the whole chunk.
-    x_->multiply_dense_batch(std::span<const real_t>(batch_w_.data(), need_w),
-                             b, std::span<real_t>(batch_y_.data(), need_y));
-
-    // Kernel map: out row k is the kernel image of SMSV output lane k.
-    for (index_t k = 0; k < b; ++k) {
-      const index_t i = rows[base + static_cast<std::size_t>(k)];
-      const real_t norm_i = norms[static_cast<std::size_t>(i)];
-      real_t* __restrict out_row =
-          out.data() + (base + static_cast<std::size_t>(k)) *
-                           static_cast<std::size_t>(m);
-      const real_t* __restrict dots = batch_y_.data();
-      for (index_t j = 0; j < m; ++j) {
-        out_row[static_cast<std::size_t>(j)] = kernel_from_dot(
-            params_, dots[static_cast<std::size_t>(j * b + k)], norm_i,
-            norms[static_cast<std::size_t>(j)]);
-      }
-    }
-
-    // O(sum nnz) cleanup keeps the interleaved workspace all-zero.
-    for (index_t k = 0; k < b; ++k) {
-      const SparseVector& row = batch_rows_[static_cast<std::size_t>(k)];
-      for (index_t c : row.indices()) {
-        batch_w_[static_cast<std::size_t>(c * b + k)] = 0.0;
-      }
-    }
-  }
 }
 
 LibsvmKernelEngine::LibsvmKernelEngine(const CooMatrix& x,

@@ -39,19 +39,13 @@ class RowKernelSource {
   /// Computes kernel row i: out[j] = K(X_i, X_j) for all j.
   virtual void compute_row(index_t i, std::span<real_t> out) = 0;
 
-  /// Computes the kernel rows `rows[k]` into out[k * num_rows() .. ): one
-  /// call produces rows.size() full kernel rows. The base implementation
-  /// loops compute_row; engines with a genuinely batched path override it.
-  virtual void compute_rows(std::span<const index_t> rows,
-                            std::span<real_t> out);
-
   /// K(X_i, X_i) — needed by the second-order working-set selection.
   virtual real_t diagonal(index_t i) const = 0;
 
   /// Number of kernel rows computed so far (cache misses only). Updates are
   /// release stores and this read an acquire load, so the counter can be
-  /// snapshotted from any thread (the solver, a stats endpoint) while the
-  /// prefetch worker is mid-batch.
+  /// snapshotted from any thread (e.g. a stats endpoint) while the solver
+  /// runs.
   std::int64_t rows_computed() const {
     return rows_computed_.load(std::memory_order_acquire);
   }
@@ -69,13 +63,6 @@ class FormatKernelEngine : public RowKernelSource {
   index_t num_rows() const override { return x_->rows(); }
   void compute_row(index_t i, std::span<real_t> out) override;
 
-  /// Batched path: gathers all requested rows, scatters them into one
-  /// interleaved workspace and runs a single multiply_dense_batch per chunk
-  /// of kMaxSmsvBatch rows — the matrix is streamed once per chunk instead
-  /// of once per row.
-  void compute_rows(std::span<const index_t> rows,
-                    std::span<real_t> out) override;
-
   real_t diagonal(index_t i) const override {
     return diag_[static_cast<std::size_t>(i)];
   }
@@ -88,9 +75,6 @@ class FormatKernelEngine : public RowKernelSource {
   std::vector<real_t> workspace_;  // dense scatter target, size cols
   std::vector<real_t> dots_;       // SMSV output, size rows
   SparseVector row_;               // gathered selected row
-  std::vector<real_t> batch_w_;        // interleaved rhs block, cols * b
-  std::vector<real_t> batch_y_;        // interleaved SMSV output, rows * b
-  std::vector<SparseVector> batch_rows_;  // gathered rows of one chunk
 };
 
 /// LIBSVM-style engine: fixed CSR, per-pair merge-join dot products.

@@ -82,9 +82,9 @@ OvrResult train_one_vs_rest(const Dataset& ds, const SvmParams& params,
   // One layout decision (the matrix is the same for every machine) and one
   // shared kernel-row cache (the kernel matrix is label-independent).
   const LayoutScheduler scheduler(sched);
-  const ScheduleDecision decision = scheduler.decide(ds.X);
+  ScheduleDecision decision;
+  const AnyMatrix x = scheduler.schedule(ds.X, &decision);
   result.layout = decision.format;
-  const AnyMatrix x = scheduler.materialize(ds.X, decision);
   FormatKernelEngine engine(x, params.kernel);
   KernelCache cache(engine, params.cache_bytes);
 

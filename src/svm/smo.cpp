@@ -126,49 +126,6 @@ bool SmoSolver::select_low(Selection& sel,
   return sel.low >= 0;
 }
 
-std::vector<index_t> SmoSolver::predict_candidates(index_t count) const {
-  std::vector<index_t> out;
-  if (count <= 0) return out;
-
-  // Two bounded top-k scans over the active set (k is tiny, so insertion
-  // into a sorted array beats a heap). Half the budget goes to I_high
-  // (smallest f first — the next b_high candidates), half to I_low
-  // (largest f first — the next b_low / second-order candidates).
-  struct Scored {
-    real_t score;
-    index_t row;
-  };
-  const std::size_t high_cap = static_cast<std::size_t>((count + 1) / 2);
-  const std::size_t low_cap = static_cast<std::size_t>(count) - high_cap;
-  std::vector<Scored> high, low;
-  high.reserve(high_cap + 1);
-  low.reserve(low_cap + 1);
-  const auto push_top = [](std::vector<Scored>& v, std::size_t cap,
-                           Scored s) {
-    if (cap == 0) return;
-    auto it = std::find_if(v.begin(), v.end(), [&](const Scored& o) {
-      return s.score > o.score;
-    });
-    if (it == v.end() && v.size() >= cap) return;
-    v.insert(it, s);
-    if (v.size() > cap) v.pop_back();
-  };
-  for (index_t i : active_) {
-    const real_t fi = f_[static_cast<std::size_t>(i)];
-    if (in_i_high(i)) push_top(high, high_cap, {-fi, i});
-    if (in_i_low(i)) push_top(low, low_cap, {fi, i});
-  }
-
-  out.reserve(high.size() + low.size());
-  for (const Scored& s : high) out.push_back(s.row);
-  for (const Scored& s : low) {
-    if (std::find(out.begin(), out.end(), s.row) == out.end()) {
-      out.push_back(s.row);
-    }
-  }
-  return out;
-}
-
 void SmoSolver::shrink(const Selection& sel) {
   // A bound sample is certainly non-violating (and can be ignored by
   // selection) when its f value cannot form a violating pair with the
@@ -396,15 +353,6 @@ SolveStats SmoSolver::solve() {
       f[i] += d_hi * kh[i] + d_lo * kl[i];
     }
 
-    // Pipeline: hand the predicted next working set to the cache's worker
-    // while this thread goes on to selection. Purely a cache warmer — the
-    // chosen pair and the iterates are identical with or without it.
-    if (params_.prefetch_rows > 0) {
-      const std::vector<index_t> next =
-          predict_candidates(params_.prefetch_rows);
-      if (!next.empty()) cache_->prefetch(next);
-    }
-
     ++iter;
     if (tracing && iter % gap_interval == 0) {
       trace::emit_counter("svm.smo.kkt_gap", sel.b_low - sel.b_high);
@@ -439,8 +387,6 @@ SolveStats SmoSolver::solve() {
   stats.objective = current_objective();
   stats.kernel_rows_computed = 0;  // filled by caller from the engine
   stats.cache_hit_rate = cache_->hit_rate();
-  stats.pipeline_hits = cache_->pipeline_hits();
-  stats.pipeline_misses = cache_->pipeline_misses();
   for (real_t a : alpha_) {
     if (a > kBoundEps) ++stats.support_vectors;
   }

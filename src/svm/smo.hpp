@@ -66,12 +66,6 @@ struct SvmParams {
   index_t max_iterations = 0;  ///< 0 = automatic (200 n + 20000)
   WssPolicy wss = WssPolicy::kSecondOrder;
   std::size_t cache_bytes = 64ull << 20;  ///< kernel row cache budget
-  /// Double-buffered pipeline: after each iteration, the `prefetch_rows`
-  /// most-violating candidate rows for the *next* working set are computed
-  /// in the background (one batched SMSV) while the solver consumes the
-  /// current pair. 0 disables the pipeline. Does not change the iterates:
-  /// prefetching only warms the cache.
-  index_t prefetch_rows = 0;
   bool shrinking = false;    ///< periodically drop certainly-bound samples
   index_t shrink_interval = 1000;
   /// Optional convergence trace, invoked every `trace_interval` iterations
@@ -96,8 +90,6 @@ struct SolveStats {
   bool converged = false;
   std::int64_t kernel_rows_computed = 0;
   double cache_hit_rate = 0.0;
-  std::int64_t pipeline_hits = 0;    ///< prefetched rows later served
-  std::int64_t pipeline_misses = 0;  ///< prefetched rows evicted unused
   index_t support_vectors = 0;
 };
 
@@ -169,11 +161,6 @@ class SmoSolver {
   /// Selects low: first-order (argmax f) or second-order (max gain, needs
   /// the K_high row).
   bool select_low(Selection& sel, std::span<const real_t> k_high) const;
-
-  /// Predicts the rows the next iteration's selection is most likely to
-  /// touch: the strongest I_high violators (smallest f) and I_low violators
-  /// (largest f), up to `count` rows total. Used to drive cache prefetch.
-  std::vector<index_t> predict_candidates(index_t count) const;
 
   /// Shrinks the active set using current b_high / b_low estimates.
   void shrink(const Selection& sel);

@@ -69,8 +69,8 @@ SvrResult train_svr(const Dataset& ds, const SvrParams& params,
 
   // Layout scheduling on the data matrix, exactly as in classification.
   const LayoutScheduler scheduler(sched);
-  ScheduleDecision decision = scheduler.decide(ds.X);
-  const AnyMatrix x = scheduler.materialize(ds.X, decision);
+  ScheduleDecision decision;
+  const AnyMatrix x = scheduler.schedule(ds.X, &decision);
 
   // LIBSVM's 2n-variable reduction.
   const index_t n = ds.rows();

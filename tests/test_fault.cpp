@@ -18,6 +18,7 @@
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/fs_atomic.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "data/libsvm_io.hpp"
 #include "dnn/cifar.hpp"
@@ -662,6 +663,51 @@ TEST(SchedDegrade, TrainAdaptiveSurvivesTotalCandidateFailure) {
   EXPECT_TRUE(r.stats.converged);
   EXPECT_TRUE(r.decision.degraded);
   EXPECT_GT(r.model.accuracy(ds), 0.7);
+}
+
+TEST(SchedDegrade, SvrAndOneVsRestFallBackToCsrWhenMaterializeFails) {
+  // Both trainers schedule through LayoutScheduler::schedule, so a layout
+  // that cannot be built degrades to CSR instead of throwing, and each
+  // final decision reaches the metrics registry.
+  Dataset ds = noisy_dataset(45, 4, 0xD6);
+  SchedulerOptions sched;
+  sched.policy = SchedulePolicy::kFixed;
+  sched.fixed_format = Format::kDEN;
+  Spec spec;
+  spec.limit = 1;  // only the DEN materialise faults
+  metrics::reset();
+  metrics::set_enabled(true);
+
+  SvrParams svr_params;
+  svr_params.svm.max_iterations = 500;
+  SvrResult svr;
+  {
+    Scoped fp("sched.materialize", spec);
+    svr = train_svr(ds, svr_params, sched);
+  }
+  EXPECT_EQ(svr.decision.format, Format::kCSR);
+  EXPECT_TRUE(svr.decision.degraded);
+  EXPECT_GT(svr.stats.iterations, 0);
+
+  for (std::size_t i = 0; i < ds.y.size(); ++i) {
+    ds.y[i] = static_cast<real_t>(i % 3);
+  }
+  SvmParams params;
+  params.max_iterations = 500;
+  OvrResult ovr;
+  {
+    Scoped fp("sched.materialize", spec);
+    ovr = train_one_vs_rest(ds, params, sched);
+  }
+  EXPECT_EQ(ovr.layout, Format::kCSR);
+  EXPECT_EQ(ovr.model.machines.size(), 3u);
+
+  const metrics::Report r = metrics::snapshot();
+  metrics::set_enabled(false);
+  metrics::reset();
+  EXPECT_EQ(r.counters.at("sched.decisions_total"), 2);
+  EXPECT_EQ(r.counters.at("sched.decisions_degraded_total"), 2);
+  EXPECT_EQ(r.counters.at("sched.chosen_total.CSR"), 2);
 }
 
 // -------------------------------------------------- cache memory pressure

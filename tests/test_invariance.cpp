@@ -1,4 +1,4 @@
-// Thread-count invariance and pipeline-safety tests.
+// Thread-count invariance tests.
 //
 // The deterministic-parallelism contract: for a fixed seed, the scheduler
 // decision and the trained SVM model are BIT-identical at any
@@ -7,14 +7,8 @@
 // merge), which the WSS scans are built on, plus elementwise parallel_for
 // updates. The empirical autotuner is exempt by design — it races
 // wall-clock timings — so the invariance tests pin the heuristic policy.
-//
-// The pipeline tests double as ThreadSanitizer targets: they drive the
-// KernelCache prefetch worker against the consumer thread and hammer the
-// atomic counters from a concurrent reader (see scripts/check.sh's
-// LS_SANITIZE=thread stage).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -23,8 +17,6 @@
 #include "data/profiles.hpp"
 #include "data/synthetic.hpp"
 #include "sched/scheduler.hpp"
-#include "svm/cache.hpp"
-#include "svm/kernel_engine.hpp"
 #include "svm/trainer.hpp"
 #include "test_util.hpp"
 
@@ -194,13 +186,12 @@ TEST(Invariance, FeatureExtractionThreadInvariant) {
 
 /// Deterministic training run: fixed CSR layout (no timing in the loop),
 /// capped iterations so the test is fast whether or not it converges.
-TrainResult train_deterministic(const Dataset& ds, index_t prefetch_rows) {
+TrainResult train_deterministic(const Dataset& ds) {
   SvmParams params;
   params.kernel.type = KernelType::kGaussian;
   params.kernel.gamma = 0.25;
   params.c = 1.0;
   params.max_iterations = 150;
-  params.prefetch_rows = prefetch_rows;
   return train_fixed_format(ds, params, Format::kCSR);
 }
 
@@ -236,199 +227,13 @@ void expect_same_model(const TrainResult& a, const TrainResult& b,
 TEST(Invariance, SvmModelBitIdenticalAcrossThreadCounts) {
   const Dataset ds = invariance_dataset();
   const TrainResult base =
-      with_threads(1, [&] { return train_deterministic(ds, 0); });
+      with_threads(1, [&] { return train_deterministic(ds); });
   EXPECT_GT(base.stats.iterations, 0);
   for (int t : thread_counts()) {
     const TrainResult got =
-        with_threads(t, [&] { return train_deterministic(ds, 0); });
+        with_threads(t, [&] { return train_deterministic(ds); });
     expect_same_model(base, got, t);
   }
-}
-
-TEST(Invariance, PrefetchPipelineDoesNotChangeModel) {
-  // The pipeline only warms the cache; iterates must be bit-identical with
-  // it on or off, at serial and parallel thread counts.
-  const Dataset ds = invariance_dataset();
-  const TrainResult off =
-      with_threads(1, [&] { return train_deterministic(ds, 0); });
-  for (int t : {1, 4}) {
-    const TrainResult on =
-        with_threads(t, [&] { return train_deterministic(ds, 8); });
-    expect_same_model(off, on, t);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Prefetch pipeline unit tests (also the TSan targets).
-
-struct PipelineFixture {
-  CooMatrix coo;
-  AnyMatrix mat;
-  FormatKernelEngine engine;
-
-  explicit PipelineFixture(index_t rows = 64, std::uint64_t seed = 0x50u)
-      : coo([&] {
-          Rng rng(seed);
-          return test::random_matrix(rows, 24, 0.3, rng);
-        }()),
-        mat(AnyMatrix::from_coo(coo, Format::kCSR)),
-        engine(mat, KernelParams{}) {}
-};
-
-TEST(Pipeline, PrefetchedRowsAreServedAsHits) {
-  PipelineFixture fx;
-  KernelCache cache(fx.engine, 1u << 20);  // plenty of headroom
-  std::vector<index_t> want = {3, 4, 9};
-  cache.prefetch(want);
-  EXPECT_EQ(cache.prefetched_rows(), 3);
-
-  // First consumer touch drains the worker's buffer; every prefetched row
-  // is then a cache hit and a pipeline hit.
-  (void)cache.get_row(3);
-  (void)cache.get_row(4);
-  (void)cache.get_row(9);
-  EXPECT_EQ(cache.hits(), 3);
-  EXPECT_EQ(cache.misses(), 0);
-  EXPECT_EQ(cache.pipeline_hits(), 3);
-  EXPECT_EQ(cache.pipeline_misses(), 0);
-  EXPECT_EQ(fx.engine.rows_computed(), 3);
-}
-
-TEST(Pipeline, PrefetchedRowMatchesSynchronousRow) {
-  PipelineFixture fx;
-  std::vector<real_t> direct(static_cast<std::size_t>(fx.engine.num_rows()));
-  fx.engine.compute_row(5, direct);
-
-  KernelCache cache(fx.engine, 1u << 20);
-  std::vector<index_t> want = {5};
-  cache.prefetch(want);
-  const auto row = cache.get_row(5);
-  test::expect_bit_identical(row, direct);
-}
-
-TEST(Pipeline, PrefetchSkipsResidentRows) {
-  PipelineFixture fx;
-  KernelCache cache(fx.engine, 1u << 20);
-  (void)cache.get_row(7);  // synchronous miss -> resident
-  std::vector<index_t> want = {7};
-  cache.prefetch(want);
-  EXPECT_EQ(cache.prefetched_rows(), 0);  // nothing left to prefetch
-
-  std::vector<index_t> mixed = {7, 7, 11, 11};
-  cache.prefetch(mixed);  // resident + duplicates filtered
-  (void)cache.get_row(11);
-  EXPECT_EQ(cache.prefetched_rows(), 1);
-  EXPECT_EQ(cache.pipeline_hits(), 1);
-}
-
-TEST(Pipeline, TinyCacheDisablesPrefetch) {
-  PipelineFixture fx;
-  KernelCache cache(fx.engine, 0);  // clamped to the 2-row minimum
-  std::vector<index_t> want = {1, 2, 3};
-  cache.prefetch(want);
-  (void)cache.get_row(1);
-  EXPECT_EQ(cache.prefetched_rows(), 0);
-  EXPECT_EQ(cache.misses(), 1);
-}
-
-TEST(Pipeline, EvictedPrefetchCountsAsPipelineMiss) {
-  PipelineFixture fx(32);
-  // Budget for exactly 4 rows: 2 of headroom beyond the 2 live SMO rows.
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(fx.engine.num_rows()) * sizeof(real_t);
-  KernelCache cache(fx.engine, 4 * row_bytes);
-  std::vector<index_t> want = {20, 21};
-  cache.prefetch(want);
-  (void)cache.get_row(0);  // drains the prefetch, then computes row 0
-  // 20 and 21 are resident but unused; four fresh misses evict them.
-  for (index_t i = 1; i <= 4; ++i) (void)cache.get_row(i);
-  EXPECT_EQ(cache.pipeline_hits(), 0);
-  EXPECT_EQ(cache.pipeline_misses(), 2);
-}
-
-TEST(Pipeline, HammeredPrefetchStaysConsistent) {
-  // TSan target: the consumer thread issues interleaved prefetches and
-  // gets while a reader thread spins on every atomic counter. Run under
-  // LS_SANITIZE=thread this is the pipeline's data-race regression test.
-  PipelineFixture fx(96);
-  KernelCache cache(fx.engine, 1u << 20);
-  std::atomic<bool> stop{false};
-  std::int64_t observed_rows = 0;
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      observed_rows = fx.engine.rows_computed();
-      (void)cache.hits();
-      (void)cache.misses();
-      (void)cache.prefetched_rows();
-      (void)cache.pipeline_hits();
-      (void)cache.pipeline_misses();
-    }
-  });
-
-  Rng rng(0x51u);
-  for (int iter = 0; iter < 300; ++iter) {
-    std::vector<index_t> want(static_cast<std::size_t>(rng.uniform_int(1, 6)));
-    for (auto& r : want) r = rng.uniform_int(0, 95);
-    cache.prefetch(want);
-    (void)cache.get_row(rng.uniform_int(0, 95));
-  }
-  stop.store(true, std::memory_order_relaxed);
-  reader.join();
-
-  // Every row the cache ever served was computed exactly once somewhere.
-  EXPECT_GT(fx.engine.rows_computed(), 0);
-  EXPECT_GE(fx.engine.rows_computed(), observed_rows);
-  EXPECT_EQ(cache.hits() + cache.misses(), 300);
-  EXPECT_LE(cache.pipeline_hits() + cache.pipeline_misses(),
-            cache.prefetched_rows());
-}
-
-TEST(Pipeline, DestructorJoinsInFlightWorker) {
-  PipelineFixture fx(48);
-  for (int round = 0; round < 10; ++round) {
-    KernelCache cache(fx.engine, 1u << 20);
-    std::vector<index_t> want = {1, 2, 3, 4, 5};
-    cache.prefetch(want);
-    // Destroyed with the prefetch possibly still in flight — must join
-    // cleanly, never crash or leak (ASan/TSan verify).
-  }
-}
-
-TEST(Pipeline, SolverStatsExposePipelineCounters) {
-  const Dataset ds = [&] {
-    Rng rng(0x52u);
-    Dataset d;
-    d.name = "pipeline-stats";
-    d.X = test::random_matrix(200, 30, 0.2, rng);
-    d.y = plant_labels(d.X, 0.1, 3);
-    return d;
-  }();
-  SvmParams params;
-  params.kernel.type = KernelType::kGaussian;
-  params.kernel.gamma = 0.5;
-  params.max_iterations = 200;
-  params.prefetch_rows = 6;
-  const TrainResult r = train_fixed_format(ds, params, Format::kCSR);
-  EXPECT_GE(r.stats.pipeline_hits, 0);
-  EXPECT_GE(r.stats.pipeline_misses, 0);
-  // Without the pipeline the counters must stay zero.
-  params.prefetch_rows = 0;
-  const TrainResult off = train_fixed_format(ds, params, Format::kCSR);
-  EXPECT_EQ(off.stats.pipeline_hits, 0);
-  EXPECT_EQ(off.stats.pipeline_misses, 0);
-}
-
-TEST(Pipeline, AtomicRowsComputedAcrossBatchAndSingle) {
-  PipelineFixture fx(40);
-  EXPECT_EQ(fx.engine.rows_computed(), 0);
-  std::vector<real_t> out(static_cast<std::size_t>(fx.engine.num_rows()) * 3);
-  std::vector<index_t> rows = {1, 2, 3};
-  fx.engine.compute_rows(rows, out);
-  EXPECT_EQ(fx.engine.rows_computed(), 3);
-  fx.engine.compute_row(
-      4, std::span<real_t>(out.data(),
-                           static_cast<std::size_t>(fx.engine.num_rows())));
-  EXPECT_EQ(fx.engine.rows_computed(), 4);
 }
 
 }  // namespace

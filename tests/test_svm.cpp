@@ -168,50 +168,45 @@ TEST(KernelCache, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(engine.rows_computed(), 4);
 }
 
-TEST(KernelCache, StatsSnapshotSafeWhilePrefetchWorkerRuns) {
+TEST(KernelCache, StatsSnapshotSafeDuringGetRowTraffic) {
   // The serving engine's stats endpoint reads cache counters from a thread
-  // that is neither the solver nor the prefetch worker. The accessors are
-  // acquire loads over release increments, so an off-thread reader must
-  // observe monotone values without racing (TSan validates the absence of
-  // data races in the sanitizer build).
+  // other than the solver's. The accessors are acquire loads over release
+  // increments, so an off-thread reader must observe monotone values
+  // without racing (TSan validates the absence of data races in the
+  // sanitizer build).
   Rng rng(36);
   const CooMatrix coo = test::random_matrix(64, 32, 0.4, rng);
   KernelParams params;
   const AnyMatrix mat = AnyMatrix::from_coo(coo, Format::kCSR);
   FormatKernelEngine engine(mat, params);
-  KernelCache cache(engine, 16 << 10);
+  KernelCache cache(engine, 16 << 10);  // 32 of the 64 rows fit
 
   std::atomic<bool> done{false};
   std::thread reader([&] {
     std::int64_t last_requests = 0;
+    std::int64_t last_computed = 0;
     while (!done.load(std::memory_order_acquire)) {
       const std::int64_t total = cache.hits() + cache.misses();
       EXPECT_GE(total, last_requests);
       last_requests = total;
-      (void)cache.resident_rows();
-      (void)cache.prefetched_rows();
-      (void)cache.pipeline_hits();
-      (void)cache.pipeline_misses();
-      (void)engine.rows_computed();
+      const std::int64_t computed = engine.rows_computed();
+      EXPECT_GE(computed, last_computed);
+      last_computed = computed;
+      EXPECT_LE(cache.resident_rows(), 32u);
     }
   });
 
-  std::vector<index_t> candidates;
   for (index_t pass = 0; pass < 8; ++pass) {
-    candidates.clear();
-    for (index_t i = 0; i < 16; ++i) {
-      candidates.push_back((pass * 7 + i * 3) % 64);
-    }
-    cache.prefetch(candidates);
     for (index_t i = 0; i < 32; ++i) {
-      cache.get_row((pass * 11 + i) % 64);
+      cache.get_row((pass * 11 + i * 3) % 64);
     }
   }
   done.store(true, std::memory_order_release);
   reader.join();
 
   EXPECT_EQ(cache.hits() + cache.misses(), 8 * 32);
-  EXPECT_LE(cache.pipeline_hits(), cache.prefetched_rows());
+  EXPECT_GT(cache.hits(), 0);
+  EXPECT_EQ(engine.rows_computed(), cache.misses());
 }
 
 TEST(KernelCache, PairwiseSpansRemainValid) {
