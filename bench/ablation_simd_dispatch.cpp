@@ -11,6 +11,11 @@
 // execution already extracts the ILP on the scalar side and the vector
 // win collapses to the host's gather throughput (see DESIGN.md §16) —
 // near 1x on machines that microcode vgatherqpd, 2x+ where it is fast.
+// The SMO working-set scans (wss_high_low, wss_gain) are reported as ns
+// per element at every level for n in {450, 2265, 4096} (breast_cancer-,
+// adult- and stream-window-sized problems); not gated.
+#include <array>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -62,6 +67,63 @@ PathTiming time_level(SimdLevel level, const AnyMatrix& den,
   return t;
 }
 
+constexpr std::array<index_t, 3> kScanSizes = {450, 2265, 4096};
+
+/// ns per element of the fused high/low scan and of the gain scan at the
+/// active level, for each of kScanSizes.
+struct ScanTiming {
+  std::array<double, kScanSizes.size()> high_low;
+  std::array<double, kScanSizes.size()> gain;
+};
+
+/// Inputs shaped like a mid-solve SMO state: about half the samples in
+/// each of I_high and I_low, a quarter in both (free), distinct f values.
+ScanTiming time_scans(SimdLevel level) {
+  simd::ScopedSimdLevel guard(level);
+  const simd::KernelTable& kt = simd::kernels();
+  ScanTiming t{};
+  for (std::size_t s = 0; s < kScanSizes.size(); ++s) {
+    const index_t n = kScanSizes[s];
+    const auto un = static_cast<std::size_t>(n);
+    Rng rng(0x5CA7ull + un);
+    std::vector<real_t> f(un), kdiag(un, 1.0), k_high(un);
+    std::vector<std::uint8_t> status(un);
+    for (std::size_t i = 0; i < un; ++i) {
+      f[i] = rng.uniform(-1.0, 1.0);
+      k_high[i] = rng.uniform(0.0, 1.0);
+      status[i] = static_cast<std::uint8_t>(rng.uniform_int(1, 3));
+    }
+    std::array<simd::Argmax, 2> hl{};
+    volatile index_t sink = 0;
+    // Repeat the scan enough that one timed call is well above the timer
+    // resolution.
+    constexpr int kReps = 200;
+    const double per_elem = 1e9 / static_cast<double>(kReps * n);
+    t.high_low[s] = per_elem * time_best(
+                                   [&] {
+                                     for (int r = 0; r < kReps; ++r) {
+                                       kt.wss_high_low(f.data(), status.data(),
+                                                       n, hl.data());
+                                       sink = hl[0].index;
+                                     }
+                                   },
+                                   5, 0.05);
+    t.gain[s] = per_elem * time_best(
+                               [&] {
+                                 for (int r = 0; r < kReps; ++r) {
+                                   sink = kt.wss_gain(f.data(), status.data(),
+                                                      kdiag.data(),
+                                                      k_high.data(), n, -0.5,
+                                                      1.0, 1e-12)
+                                              .index;
+                                 }
+                               },
+                               5, 0.05);
+    (void)sink;
+  }
+  return t;
+}
+
 }  // namespace
 
 int main() {
@@ -79,10 +141,19 @@ int main() {
   const PathTiming scalar = time_level(SimdLevel::kScalar, den, csr);
 
   Table table({"Level", "W", "DEN x1", "DEN x16", "CSR x1", "CSR x16"});
-  CsvWriter csv(bench::csv_path("ablation_simd_dispatch"),
-                {"level", "width", "den_single_speedup", "den_batch_speedup",
-                 "csr_single_speedup", "csr_batch_speedup",
-                 "den_single_seconds", "csr_single_seconds"});
+  Table scan_table({"Level", "high/low n=450", "n=2265", "n=4096",
+                    "gain n=450", "n=2265", "n=4096"});
+  std::vector<std::string> columns = {
+      "level", "width", "den_single_speedup", "den_batch_speedup",
+      "csr_single_speedup", "csr_batch_speedup", "den_single_seconds",
+      "csr_single_seconds"};
+  for (const char* kernel : {"high_low", "gain"}) {
+    for (index_t n : kScanSizes) {
+      columns.push_back(std::string("scan_") + kernel + "_ns_per_elem_n" +
+                        std::to_string(n));
+    }
+  }
+  CsvWriter csv(bench::csv_path("ablation_simd_dispatch"), columns);
 
   double native_den = 1.0;
   double native_denb = 1.0;
@@ -112,10 +183,21 @@ int main() {
                    bench::speedup_cell(s_denb, s_denb >= 2.0),
                    bench::speedup_cell(s_csr, s_csr >= 2.0),
                    bench::speedup_cell(s_csrb, s_csrb >= 2.0)});
-    csv.write_row({std::string(simd::level_name(level)), std::to_string(width),
-                   fmt_double(s_den, 3), fmt_double(s_denb, 3),
-                   fmt_double(s_csr, 3), fmt_double(s_csrb, 3),
-                   fmt_double(t.den_single, 9), fmt_double(t.csr_single, 9)});
+    const ScanTiming scans = time_scans(level);
+    std::vector<std::string> row = {
+        std::string(simd::level_name(level)), std::to_string(width),
+        fmt_double(s_den, 3), fmt_double(s_denb, 3), fmt_double(s_csr, 3),
+        fmt_double(s_csrb, 3), fmt_double(t.den_single, 9),
+        fmt_double(t.csr_single, 9)};
+    std::vector<std::string> scan_row = {std::string(simd::level_name(level))};
+    for (const auto* per_n : {&scans.high_low, &scans.gain}) {
+      for (double ns : *per_n) {
+        row.push_back(fmt_double(ns, 3));
+        scan_row.push_back(fmt_double(ns, 2) + " ns");
+      }
+    }
+    scan_table.add_row(scan_row);
+    csv.write_row(row);
   }
 
   std::printf("%s\n", table.str().c_str());
@@ -125,6 +207,8 @@ int main() {
       "the dense-gather paths and the batched CSR SMSV path. The single-rhs\n"
       "CSR dot is gather-throughput-bound (rows are independent, so OOO\n"
       "already parallelises the scalar chain) and is reported, not gated.\n");
+  std::printf("\nSMO working-set scans, ns per element (single thread):\n%s\n",
+              scan_table.str().c_str());
   bench::finish(csv, "ablation_simd_dispatch");
 
   const bool vector_host = simd::best_supported() >= SimdLevel::kAVX2;

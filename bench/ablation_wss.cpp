@@ -1,8 +1,12 @@
 // Ablation: working-set selection policy. First-order selection is the
 // paper's Algorithm 1 (maximal violating pair); second-order is Fan et
 // al.'s WSS2 (LIBSVM's default). Second-order usually needs fewer
-// iterations at the same per-iteration cost, since the K_high row it needs
-// is already being computed.
+// iterations at a similar per-iteration cost: the K_high row it needs is
+// already being computed, and its gain pass (one division per element) is
+// the only extra O(n) work. The us/iter columns are solve time over
+// iterations, so they include the convergence trace's O(n) objective
+// every 25 iterations.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -21,10 +25,12 @@ int main() {
   base.max_iterations = 20000;
 
   Table table({"Dataset", "iters (1st)", "iters (2nd)", "time (1st)",
-               "time (2nd)", "objective gap", "iter ratio"});
+               "time (2nd)", "us/iter (1st)", "us/iter (2nd)",
+               "objective gap", "iter ratio"});
   CsvWriter csv(bench::csv_path("ablation_wss"),
                 {"dataset", "iters_first", "iters_second", "seconds_first",
-                 "seconds_second", "objective_first", "objective_second"});
+                 "seconds_second", "objective_first", "objective_second",
+                 "us_per_iter_first", "us_per_iter_second"});
 
   // Convergence trajectories (objective + optimality gap per iteration)
   // for re-plotting, sampled every 25 iterations.
@@ -52,10 +58,16 @@ int main() {
     const double gap =
         std::abs(r1.stats.objective - r2.stats.objective) /
         std::max(1.0, std::abs(r2.stats.objective));
+    const auto us_per_iter = [](const TrainResult& r) {
+      return 1e6 * r.solve_seconds /
+             static_cast<double>(std::max<index_t>(1, r.stats.iterations));
+    };
     table.add_row({name, std::to_string(r1.stats.iterations),
                    std::to_string(r2.stats.iterations),
                    fmt_seconds(r1.solve_seconds),
                    fmt_seconds(r2.solve_seconds),
+                   fmt_double(us_per_iter(r1), 1),
+                   fmt_double(us_per_iter(r2), 1),
                    fmt_double(gap * 100.0, 2) + "%",
                    fmt_double(static_cast<double>(r1.stats.iterations) /
                                   static_cast<double>(r2.stats.iterations),
@@ -65,7 +77,9 @@ int main() {
                    fmt_double(r1.solve_seconds, 6),
                    fmt_double(r2.solve_seconds, 6),
                    fmt_double(r1.stats.objective, 6),
-                   fmt_double(r2.stats.objective, 6)});
+                   fmt_double(r2.stats.objective, 6),
+                   fmt_double(us_per_iter(r1), 3),
+                   fmt_double(us_per_iter(r2), 3)});
   }
   std::printf("%s\n", table.str().c_str());
   std::printf("Both policies reach the same dual objective (gap column); "

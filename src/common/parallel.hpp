@@ -87,32 +87,41 @@ real_t parallel_sum(index_t n, Fn&& fn) {
   return total;
 }
 
-/// Deterministic parallel reduction of fn(i) over [0, n): each of the T
-/// chunks folds its range serially in index order, then the T partials are
-/// combined left to right. For an associative `combine` the result is
-/// independent of the thread count — unlike an OpenMP `reduction`, whose
-/// combine order is unspecified. Used by the WSS scans, where the SVM
-/// model must come out bit-identical at any OMP_NUM_THREADS.
+/// Deterministic parallel reduction over contiguous blocks: [0, n) is cut
+/// into one block per thread, `fn(lo, hi)` reduces each block (lo < hi),
+/// and the partials are combined left to right. For an associative
+/// `combine` the result is independent of the thread count. Used where a
+/// whole block goes to one SIMD kernel call (the SMO working-set scans).
 template <class T, class Fn, class Combine>
-T parallel_reduce(index_t n, T init, Fn&& fn, Combine&& combine) {
-  const int t = num_threads();
-  if (t <= 1 || n < 4096) {
-    T acc = init;
-    for (index_t i = 0; i < n; ++i) acc = combine(acc, fn(i));
-    return acc;
-  }
-  const index_t chunks = static_cast<index_t>(t);
+T parallel_reduce_blocks(index_t n, T init, Fn&& fn, Combine&& combine) {
+  const index_t chunks =
+      std::min<index_t>(static_cast<index_t>(num_threads()), n);
+  if (chunks <= 1) return n > 0 ? combine(init, fn(index_t{0}, n)) : init;
   std::vector<T> partial(static_cast<std::size_t>(chunks), init);
   parallel_for(chunks, [&](index_t c) {
     const index_t lo = n * c / chunks;
     const index_t hi = n * (c + 1) / chunks;
-    T acc = init;
-    for (index_t i = lo; i < hi; ++i) acc = combine(acc, fn(i));
-    partial[static_cast<std::size_t>(c)] = acc;
+    partial[static_cast<std::size_t>(c)] = fn(lo, hi);
   });
   T acc = init;
   for (const T& p : partial) acc = combine(acc, p);
   return acc;
+}
+
+/// Deterministic parallel reduction of fn(i) over [0, n): each of the T
+/// chunks folds its range serially in index order, then the T partials are
+/// combined left to right. For an associative `combine` the result is
+/// independent of the thread count — unlike an OpenMP `reduction`, whose
+/// combine order is unspecified. Below 4096 elements the fold is serial.
+template <class T, class Fn, class Combine>
+T parallel_reduce(index_t n, T init, Fn&& fn, Combine&& combine) {
+  auto fold = [&](index_t lo, index_t hi) {
+    T acc = init;
+    for (index_t i = lo; i < hi; ++i) acc = combine(acc, fn(i));
+    return acc;
+  };
+  if (num_threads() <= 1 || n < 4096) return fold(0, n);
+  return parallel_reduce_blocks(n, init, fold, combine);
 }
 
 /// Deterministic parallel argmax: the smallest index attaining the maximum

@@ -7,6 +7,9 @@
 
 #include <immintrin.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "kernels/vector_kernels.hpp"
 
 namespace ls::simd::detail {
@@ -28,6 +31,23 @@ struct Avx2Ops {
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
     return _mm256_i64gather_pd(base, vi, 8);
   }
+  static reg sub(reg a, reg b) { return _mm256_sub_pd(a, b); }
+  static reg mul(reg a, reg b) { return _mm256_mul_pd(a, b); }
+  static reg div(reg a, reg b) { return _mm256_div_pd(a, b); }
+
+  using mask = __m256d;
+  static mask flags(const std::uint8_t* s, std::uint8_t bit) {
+    std::int32_t word;
+    std::memcpy(&word, s, sizeof(word));
+    const __m256i lanes = _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(word));
+    const __m256i b = _mm256_set1_epi64x(bit);
+    return _mm256_castsi256_pd(
+        _mm256_cmpeq_epi64(_mm256_and_si256(lanes, b), b));
+  }
+  static mask gt(reg a, reg b) { return _mm256_cmp_pd(a, b, _CMP_GT_OQ); }
+  static mask le(reg a, reg b) { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
+  static mask both(mask a, mask b) { return _mm256_and_pd(a, b); }
+  static reg select(mask m, reg a, reg b) { return _mm256_blendv_pd(b, a, m); }
 };
 
 }  // namespace

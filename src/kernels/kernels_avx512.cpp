@@ -9,6 +9,8 @@
 
 #include <immintrin.h>
 
+#include <cstdint>
+
 #include "kernels/vector_kernels.hpp"
 
 namespace ls::simd::detail {
@@ -28,6 +30,24 @@ struct Avx512Ops {
   static reg gather(const double* base, const index_t* idx) {
     const __m512i vi = _mm512_loadu_si512(idx);
     return _mm512_i64gather_pd(vi, base, 8);
+  }
+  static reg sub(reg a, reg b) { return _mm512_sub_pd(a, b); }
+  static reg mul(reg a, reg b) { return _mm512_mul_pd(a, b); }
+  static reg div(reg a, reg b) { return _mm512_div_pd(a, b); }
+
+  using mask = __mmask8;
+  static mask flags(const std::uint8_t* s, std::uint8_t bit) {
+    // The zero-masked form: GCC 12's unmasked _mm512_cvtepu8_epi64 trips
+    // -Wmaybe-uninitialized.
+    const __m512i lanes = _mm512_maskz_cvtepu8_epi64(
+        0xFF, _mm_loadl_epi64(reinterpret_cast<const __m128i*>(s)));
+    return _mm512_test_epi64_mask(lanes, _mm512_set1_epi64(bit));
+  }
+  static mask gt(reg a, reg b) { return _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ); }
+  static mask le(reg a, reg b) { return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ); }
+  static mask both(mask a, mask b) { return static_cast<mask>(a & b); }
+  static reg select(mask m, reg a, reg b) {
+    return _mm512_mask_blend_pd(m, b, a);
   }
 };
 

@@ -8,6 +8,8 @@
 
 #include <arm_neon.h>
 
+#include <cstdint>
+
 #include "kernels/vector_kernels.hpp"
 
 namespace ls::simd::detail {
@@ -28,6 +30,20 @@ struct NeonOps {
     const double t[2] = {base[idx[0]], base[idx[1]]};
     return vld1q_f64(t);
   }
+  static reg sub(reg a, reg b) { return vsubq_f64(a, b); }
+  static reg mul(reg a, reg b) { return vmulq_f64(a, b); }
+  static reg div(reg a, reg b) { return vdivq_f64(a, b); }
+
+  using mask = uint64x2_t;
+  static mask flags(const std::uint8_t* s, std::uint8_t bit) {
+    const std::uint64_t t[2] = {(s[0] & bit) ? ~0ull : 0ull,
+                                (s[1] & bit) ? ~0ull : 0ull};
+    return vld1q_u64(t);
+  }
+  static mask gt(reg a, reg b) { return vcgtq_f64(a, b); }
+  static mask le(reg a, reg b) { return vcleq_f64(a, b); }
+  static mask both(mask a, mask b) { return vandq_u64(a, b); }
+  static reg select(mask m, reg a, reg b) { return vbslq_f64(m, a, b); }
 };
 
 }  // namespace

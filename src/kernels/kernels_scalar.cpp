@@ -87,6 +87,37 @@ void gather_scatter_axpy_batch(const real_t* __restrict v,
   }
 }
 
+void wss_high_low(const real_t* __restrict f,
+                  const std::uint8_t* __restrict status, index_t n,
+                  Argmax* out) {
+  Argmax high = kNoArgmax;
+  Argmax low = kNoArgmax;
+  for (index_t i = 0; i < n; ++i) {
+    if ((status[i] & kInHigh) && -f[i] > high.value) high = {-f[i], i};
+    if ((status[i] & kInLow) && f[i] > low.value) low = {f[i], i};
+  }
+  out[0] = high;
+  out[1] = low;
+}
+
+Argmax wss_gain(const real_t* __restrict f,
+                const std::uint8_t* __restrict status,
+                const real_t* __restrict kdiag,
+                const real_t* __restrict k_high, index_t n, real_t b_high,
+                real_t k_hh, real_t eta_floor) {
+  Argmax best = kNoArgmax;
+  for (index_t i = 0; i < n; ++i) {
+    if (!(status[i] & kInLow)) continue;
+    const real_t b = f[i] - b_high;
+    if (!(b > 0)) continue;
+    real_t eta = k_hh + kdiag[i] - 2.0 * k_high[i];
+    if (eta <= 0) eta = eta_floor;
+    const real_t gain = b * b / eta;
+    if (gain > best.value) best = {gain, i};
+  }
+  return best;
+}
+
 }  // namespace
 
 const KernelTable& scalar_table() {
@@ -101,6 +132,8 @@ const KernelTable& scalar_table() {
       gather_scatter_axpy,
       gather_axpy_batch,
       gather_scatter_axpy_batch,
+      wss_high_low,
+      wss_gain,
   };
   return table;
 }

@@ -17,9 +17,15 @@
 // fused multiply-adds, so a batched product's lane k is BIT-identical to
 // the single-rhs product at the same level. Across levels results differ
 // only by accumulation order (ULP-bounded vs scalar).
+//
+// The two SMO working-set scans (wss_high_low, wss_gain) are the
+// exception: they return an index, not an accumulation, and every score is
+// an element-wise IEEE expression, so every level returns exactly the
+// scalar table's index.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string_view>
 
 #include "common/types.hpp"
@@ -41,6 +47,28 @@ inline constexpr int kNumSimdLevels = 4;
 /// batched kernels block their accumulators at this width). Mirrors
 /// ls::kMaxSmsvBatch — a static_assert in formats/dense.cpp ties them.
 inline constexpr int kMaxKernelBatch = 64;
+
+/// SMO membership bits of the per-sample status byte the WSS scans read:
+/// kInHigh marks I_high, kInLow marks I_low (Algorithm 1 steps 6-7).
+inline constexpr std::uint8_t kInHigh = 1;
+inline constexpr std::uint8_t kInLow = 2;
+
+/// Result of a masked argmax scan: the lowest index attaining the maximal
+/// score (strict `>`, so NaN never wins) and that score; {-inf, -1} when
+/// no element scores above -inf.
+struct Argmax {
+  real_t value;
+  index_t index;
+};
+
+inline constexpr Argmax kNoArgmax{-std::numeric_limits<real_t>::infinity(),
+                                  -1};
+
+/// Folds the argmax of a later range into that of an earlier one. Folding
+/// any split of [0, n) left to right gives the serial scan's index.
+inline Argmax fold_argmax(const Argmax& earlier, const Argmax& later) {
+  return later.index >= 0 && later.value > earlier.value ? later : earlier;
+}
 
 /// Dispatch table of the format micro-kernels at one ISA level.
 ///
@@ -87,6 +115,19 @@ struct KernelTable {
   void (*gather_scatter_axpy_batch)(const real_t* v, const index_t* c,
                                     const index_t* rows, index_t len,
                                     const real_t* w, index_t b, real_t* y);
+
+  /// SMO's fused I_high/I_low pass over i in [0, n): out[0] = argmax of
+  /// -f[i] over status[i] & kInHigh, out[1] = argmax of f[i] over
+  /// status[i] & kInLow. Indices are relative to the pointers.
+  void (*wss_high_low)(const real_t* f, const std::uint8_t* status,
+                       index_t n, Argmax* out);
+
+  /// SMO's second-order (WSS2) pass: argmax over i with status[i] & kInLow
+  /// and b = f[i] - b_high > 0 of b*b / eta, where eta = (k_hh + kdiag[i])
+  /// - 2 k_high[i], replaced by eta_floor when eta <= 0.
+  Argmax (*wss_gain)(const real_t* f, const std::uint8_t* status,
+                     const real_t* kdiag, const real_t* k_high, index_t n,
+                     real_t b_high, real_t k_hh, real_t eta_floor);
 };
 
 /// Lower-case level name ("scalar", "neon", "avx2", "avx512").

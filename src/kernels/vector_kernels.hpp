@@ -14,6 +14,15 @@
 //   reg  add(reg, reg)
 //   reg  gather(const double* base, const index_t* idx)
 //                                      — {base[idx[0]], ..., base[idx[W-1]]}
+//   reg  sub(reg, reg), mul(reg, reg), div(reg, reg)
+//                                      — element-wise, correctly rounded
+//   using mask           — a per-lane predicate
+//   mask flags(const std::uint8_t* s, std::uint8_t bit)
+//                                      — lane l: (s[l] & bit) != 0
+//   mask gt(reg a, reg b), le(reg a, reg b)
+//                                      — ordered compares (false on NaN)
+//   mask both(mask, mask)              — lane-wise and
+//   reg  select(mask m, reg a, reg b)  — lane l: m ? a : b
 //
 // Sharing one body per kernel across ISAs is what enforces the
 // accumulation-order contract of simd.hpp: at width W, W partial sums
@@ -25,6 +34,8 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 
 #include "kernels/simd.hpp"
 
@@ -238,6 +249,153 @@ void vk_gather_scatter_axpy_batch(const real_t* __restrict v,
                     y);
 }
 
+// SMO working-set scans. Lane l of a W-wide scan keeps the best score it
+// has seen (strict compare, so the lowest of its indices wins a tie and
+// NaN never wins) with that element's index, held as a double (exact
+// below 2^53). vk_fold_lanes then picks the best lane, lowest index first,
+// and the tail continues the scalar loop — so every level returns exactly
+// the scalar table's index. Scores are element-wise IEEE expressions
+// (the TUs build with -ffp-contract=off), never accumulations.
+
+inline constexpr double kLaneIota[8] = {0, 1, 2, 3, 4, 5, 6, 7};
+
+/// The lowest index attaining the best of W per-lane candidates; a lane
+/// that never matched holds {-inf, -1} and cannot win.
+template <int W>
+Argmax vk_fold_lanes(const double* value, const double* index) {
+  Argmax best = kNoArgmax;
+  for (int l = 0; l < W; ++l) {
+    const auto i = static_cast<index_t>(index[l]);
+    if (value[l] > best.value || (value[l] == best.value && i < best.index)) {
+      best = {value[l], i};
+    }
+  }
+  return best;
+}
+
+/// Lane state of the fused high/low scan: the I_high side tracks min f
+/// (-f > -best is f < best, so no per-element negation), the I_low side
+/// max f.
+template <class V>
+struct HighLowLanes {
+  typename V::reg high_f = V::broadcast(std::numeric_limits<double>::infinity());
+  typename V::reg high_i = V::broadcast(-1.0);
+  typename V::reg low_f = V::broadcast(-std::numeric_limits<double>::infinity());
+  typename V::reg low_i = V::broadcast(-1.0);
+
+  void update(const real_t* f, const std::uint8_t* status,
+              typename V::reg idx) {
+    const typename V::reg fv = V::loadu(f);
+    const typename V::mask h =
+        V::both(V::flags(status, kInHigh), V::gt(high_f, fv));
+    const typename V::mask l =
+        V::both(V::flags(status, kInLow), V::gt(fv, low_f));
+    high_f = V::select(h, fv, high_f);
+    high_i = V::select(h, idx, high_i);
+    low_f = V::select(l, fv, low_f);
+    low_i = V::select(l, idx, low_i);
+  }
+};
+
+template <class V>
+void vk_wss_high_low(const real_t* __restrict f,
+                     const std::uint8_t* __restrict status, index_t n,
+                     Argmax* out) {
+  constexpr int W = V::W;
+  index_t i = 0;
+  Argmax high = kNoArgmax;
+  Argmax low = kNoArgmax;
+  if (n >= W) {
+    // Two independent lane sets: each update is a compare-select chain on
+    // its own registers, so alternating blocks between them halves the
+    // loop-carried latency. Lane sets a and b own alternate W-blocks;
+    // every lane still sees its indices in increasing order.
+    HighLowLanes<V> a, b;
+    typename V::reg idx = V::loadu(kLaneIota);
+    const typename V::reg step = V::broadcast(static_cast<double>(W));
+    for (; i + 2 * W <= n; i += 2 * W) {
+      a.update(f + i, status + i, idx);
+      idx = V::add(idx, step);
+      b.update(f + i + W, status + i + W, idx);
+      idx = V::add(idx, step);
+    }
+    if (i + W <= n) {
+      a.update(f + i, status + i, idx);
+      i += W;
+    }
+    alignas(64) double value[2 * W];
+    alignas(64) double index[2 * W];
+    V::storeu(value, a.high_f);
+    V::storeu(value + W, b.high_f);
+    V::storeu(index, a.high_i);
+    V::storeu(index + W, b.high_i);
+    for (int p = 0; p < 2 * W; ++p) value[p] = -value[p];
+    high = vk_fold_lanes<2 * W>(value, index);
+    V::storeu(value, a.low_f);
+    V::storeu(value + W, b.low_f);
+    V::storeu(index, a.low_i);
+    V::storeu(index + W, b.low_i);
+    low = vk_fold_lanes<2 * W>(value, index);
+  }
+  for (; i < n; ++i) {
+    if ((status[i] & kInHigh) && -f[i] > high.value) high = {-f[i], i};
+    if ((status[i] & kInLow) && f[i] > low.value) low = {f[i], i};
+  }
+  out[0] = high;
+  out[1] = low;
+}
+
+template <class V>
+Argmax vk_wss_gain(const real_t* __restrict f,
+                   const std::uint8_t* __restrict status,
+                   const real_t* __restrict kdiag,
+                   const real_t* __restrict k_high, index_t n, real_t b_high,
+                   real_t k_hh, real_t eta_floor) {
+  constexpr int W = V::W;
+  index_t i = 0;
+  Argmax best = kNoArgmax;
+  if (n >= W) {
+    const typename V::reg zero = V::zero();
+    const typename V::reg two = V::broadcast(2.0);
+    const typename V::reg bh = V::broadcast(b_high);
+    const typename V::reg khh = V::broadcast(k_hh);
+    const typename V::reg floor = V::broadcast(eta_floor);
+    const typename V::reg step = V::broadcast(static_cast<double>(W));
+    typename V::reg best_v =
+        V::broadcast(-std::numeric_limits<double>::infinity());
+    typename V::reg best_i = V::broadcast(-1.0);
+    typename V::reg idx = V::loadu(kLaneIota);
+    for (; i + W <= n; i += W) {
+      const typename V::reg b = V::sub(V::loadu(f + i), bh);
+      typename V::reg eta = V::sub(V::add(khh, V::loadu(kdiag + i)),
+                                   V::mul(two, V::loadu(k_high + i)));
+      eta = V::select(V::le(eta, zero), floor, eta);
+      const typename V::reg gain = V::div(V::mul(b, b), eta);
+      const typename V::mask take =
+          V::both(V::both(V::flags(status + i, kInLow), V::gt(b, zero)),
+                  V::gt(gain, best_v));
+      best_v = V::select(take, gain, best_v);
+      best_i = V::select(take, idx, best_i);
+      idx = V::add(idx, step);
+    }
+    alignas(64) double value[W];
+    alignas(64) double index[W];
+    V::storeu(value, best_v);
+    V::storeu(index, best_i);
+    best = vk_fold_lanes<W>(value, index);
+  }
+  for (; i < n; ++i) {
+    if (!(status[i] & kInLow)) continue;
+    const real_t b = f[i] - b_high;
+    if (!(b > 0)) continue;
+    real_t eta = k_hh + kdiag[i] - 2.0 * k_high[i];
+    if (eta <= 0) eta = eta_floor;
+    const real_t gain = b * b / eta;
+    if (gain > best.value) best = {gain, i};
+  }
+  return best;
+}
+
 /// Builds the dispatch table for vector-ops wrapper V at `level`.
 template <class V>
 KernelTable make_vector_table(SimdLevel level) {
@@ -252,6 +410,8 @@ KernelTable make_vector_table(SimdLevel level) {
       &vk_gather_scatter_axpy<V>,
       &vk_gather_axpy_batch<V>,
       &vk_gather_scatter_axpy_batch<V>,
+      &vk_wss_high_low<V>,
+      &vk_wss_gain<V>,
   };
 }
 

@@ -1,14 +1,15 @@
 #include "svm/smo.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/trace.hpp"
+#include "kernels/simd.hpp"
 
 namespace ls {
 
@@ -35,127 +36,104 @@ SmoSolver::SmoSolver(KernelCache& cache, std::span<const real_t> y,
 
   // alpha = 0; f_i = y_i * grad_i = y_i * p_i. Classification (p = -1)
   // gives the paper's Algorithm 1 step 2: f_i = -y_i.
-  alpha_.assign(static_cast<std::size_t>(n_), 0.0);
-  f_.resize(static_cast<std::size_t>(n_));
+  const auto un = static_cast<std::size_t>(n_);
+  alpha_.assign(un, 0.0);
+  f_.resize(un);
+  c_.resize(un);
+  kdiag_.resize(un);
+  status_.resize(un);
   for (index_t i = 0; i < n_; ++i) {
     const auto iu = static_cast<std::size_t>(i);
     const real_t pi = p.empty() ? real_t{-1.0} : p[iu];
     f_[iu] = y_[iu] * pi;
+    c_[iu] = params_.c * (y_[iu] > 0 ? params_.weight_positive
+                                     : params_.weight_negative);
+    kdiag_[iu] = cache.diagonal(i);
   }
-  active_.resize(static_cast<std::size_t>(n_));
-  std::iota(active_.begin(), active_.end(), index_t{0});
+  refresh_all_status();
 }
 
-bool SmoSolver::in_i_high(index_t i) const {
+void SmoSolver::refresh_status(index_t i) {
   // I_high = {0 < a < C} u {y > 0, a = 0} u {y < 0, a = C}   (Alg. 1 step 6)
-  const bool lower = at_lower(i);
-  const bool upper = at_upper(i);
-  if (!lower && !upper) return true;
-  const real_t yi = y_[static_cast<std::size_t>(i)];
-  return (yi > 0 && lower) || (yi < 0 && upper);
+  // I_low  = {0 < a < C} u {y > 0, a = C} u {y < 0, a = 0}   (Alg. 1 step 7)
+  const auto iu = static_cast<std::size_t>(i);
+  const bool lower = alpha_[iu] <= kBoundEps;
+  const bool upper = alpha_[iu] >= c_[iu] - kBoundEps;
+  const bool pos = y_[iu] > 0;
+  const bool free = !lower && !upper;
+  status_[iu] = static_cast<std::uint8_t>(
+      (free || (pos ? lower : upper) ? simd::kInHigh : 0) |
+      (free || (pos ? upper : lower) ? simd::kInLow : 0));
 }
 
-bool SmoSolver::in_i_low(index_t i) const {
-  // I_low = {0 < a < C} u {y > 0, a = C} u {y < 0, a = 0}    (Alg. 1 step 7)
-  const bool lower = at_lower(i);
-  const bool upper = at_upper(i);
-  if (!lower && !upper) return true;
-  const real_t yi = y_[static_cast<std::size_t>(i)];
-  return (yi > 0 && upper) || (yi < 0 && lower);
+void SmoSolver::refresh_all_status() {
+  for (index_t i = 0; i < n_; ++i) refresh_status(i);
 }
+
+namespace {
+
+// Runs `scan(lo, hi)` over [0, n) as one call at or below the serial
+// cutoff, else as one call per thread's block, folded left to right.
+template <class T, class Scan, class Fold>
+T scan_blocks(index_t n, T init, Scan&& scan, Fold&& fold) {
+  if (n <= SmoSolver::kSerialScanMax) return scan(index_t{0}, n);
+  return parallel_reduce_blocks(n, init, scan, fold);
+}
+
+}  // namespace
 
 bool SmoSolver::select_high(Selection& sel) const {
-  sel.high = -1;
-  sel.b_high = std::numeric_limits<real_t>::infinity();
-  sel.b_low = -std::numeric_limits<real_t>::infinity();
-  const index_t na = static_cast<index_t>(active_.size());
-  // Both scans run as deterministic parallel argmax folds: ties keep the
-  // lowest active-set position, matching the serial loop at any thread
-  // count (the thread-invariance tests rely on this).
-  const index_t high_pos = parallel_argmax(na, [&](index_t k) {
-    const index_t i = active_[static_cast<std::size_t>(k)];
-    return in_i_high(i) ? -f_[static_cast<std::size_t>(i)]
-                        : -std::numeric_limits<real_t>::infinity();
-  });
-  if (high_pos >= 0) {
-    sel.high = active_[static_cast<std::size_t>(high_pos)];
-    sel.b_high = f_[static_cast<std::size_t>(sel.high)];
-  }
-  const index_t low_pos = parallel_argmax(na, [&](index_t k) {
-    const index_t i = active_[static_cast<std::size_t>(k)];
-    return in_i_low(i) ? f_[static_cast<std::size_t>(i)]
-                       : -std::numeric_limits<real_t>::infinity();
-  });
-  if (low_pos >= 0) {
-    sel.b_low =
-        f_[static_cast<std::size_t>(active_[static_cast<std::size_t>(low_pos)])];
-  }
+  using Pair = std::array<simd::Argmax, 2>;
+  const simd::KernelTable& kt = simd::kernels();
+  // Ties keep the lowest index at any level and any block split, so the
+  // model is bit-identical across thread counts and SIMD levels.
+  const Pair best = scan_blocks(
+      n_, Pair{simd::kNoArgmax, simd::kNoArgmax},
+      [&](index_t lo, index_t hi) {
+        Pair r;
+        kt.wss_high_low(f_.data() + lo, status_.data() + lo, hi - lo,
+                        r.data());
+        for (simd::Argmax& a : r) {
+          if (a.index >= 0) a.index += lo;
+        }
+        return r;
+      },
+      [](const Pair& a, const Pair& b) {
+        return Pair{simd::fold_argmax(a[0], b[0]),
+                    simd::fold_argmax(a[1], b[1])};
+      });
+  sel.high = best[0].index;
+  sel.low = best[1].index;
+  sel.b_high = sel.high >= 0 ? f_[static_cast<std::size_t>(sel.high)]
+                             : std::numeric_limits<real_t>::infinity();
+  sel.b_low = sel.low >= 0 ? f_[static_cast<std::size_t>(sel.low)]
+                           : -std::numeric_limits<real_t>::infinity();
   return sel.high >= 0 && std::isfinite(sel.b_low);
 }
 
 bool SmoSolver::select_low(Selection& sel,
                            std::span<const real_t> k_high) const {
-  sel.low = -1;
-  const index_t na = static_cast<index_t>(active_.size());
-  if (params_.wss == WssPolicy::kFirstOrder) {
-    // Algorithm 1 step 9: low = argmax f over I_low.
-    const index_t pos = parallel_argmax(na, [&](index_t k) {
-      const index_t j = active_[static_cast<std::size_t>(k)];
-      return in_i_low(j) ? f_[static_cast<std::size_t>(j)]
-                         : -std::numeric_limits<real_t>::infinity();
-    });
-    if (pos >= 0) sel.low = active_[static_cast<std::size_t>(pos)];
-    return sel.low >= 0;
-  }
+  // First-order: Algorithm 1 step 9, low = argmax f over I_low — the index
+  // select_high already found.
+  if (params_.wss == WssPolicy::kFirstOrder) return sel.low >= 0;
 
   // Second-order (WSS2): among I_low candidates that actually violate
   // optimality w.r.t. high, maximise the guaranteed objective gain
   // (f_j - b_high)^2 / eta_j.
-  const real_t k_hh = cache_->diagonal(sel.high);
-  const index_t pos = parallel_argmax(na, [&](index_t k) {
-    const index_t j = active_[static_cast<std::size_t>(k)];
-    if (!in_i_low(j)) return -std::numeric_limits<real_t>::infinity();
-    const real_t b = f_[static_cast<std::size_t>(j)] - sel.b_high;
-    if (b <= 0) return -std::numeric_limits<real_t>::infinity();
-    real_t eta = k_hh + cache_->diagonal(j) -
-                 2.0 * k_high[static_cast<std::size_t>(j)];
-    if (eta <= 0) eta = kEtaFloor;
-    return b * b / eta;
-  });
-  if (pos >= 0) sel.low = active_[static_cast<std::size_t>(pos)];
+  const simd::KernelTable& kt = simd::kernels();
+  const real_t k_hh = kdiag_[static_cast<std::size_t>(sel.high)];
+  const simd::Argmax best = scan_blocks(
+      n_, simd::kNoArgmax,
+      [&](index_t lo, index_t hi) {
+        simd::Argmax r = kt.wss_gain(f_.data() + lo, status_.data() + lo,
+                                     kdiag_.data() + lo, k_high.data() + lo,
+                                     hi - lo, sel.b_high, k_hh, kEtaFloor);
+        if (r.index >= 0) r.index += lo;
+        return r;
+      },
+      simd::fold_argmax);
+  sel.low = best.index;
   return sel.low >= 0;
-}
-
-void SmoSolver::shrink(const Selection& sel) {
-  // A bound sample is certainly non-violating (and can be ignored by
-  // selection) when its f value cannot form a violating pair with the
-  // current b_high / b_low estimates. Free samples are never shrunk.
-  std::vector<index_t> keep;
-  keep.reserve(active_.size());
-  for (index_t i : active_) {
-    const real_t fi = f_[static_cast<std::size_t>(i)];
-    const real_t yi = y_[static_cast<std::size_t>(i)];
-    bool shrinkable = false;
-    if (at_lower(i)) {
-      // y > 0: only in I_high (candidate for min f) -> dull if f too big;
-      // y < 0: only in I_low (candidate for max f) -> dull if f too small.
-      shrinkable = (yi > 0) ? (fi > sel.b_low) : (fi < sel.b_high);
-    } else if (at_upper(i)) {
-      shrinkable = (yi > 0) ? (fi < sel.b_high) : (fi > sel.b_low);
-    }
-    if (!shrinkable) keep.push_back(i);
-  }
-  // Keep the problem well-posed: never shrink below two samples.
-  if (keep.size() >= 2 && keep.size() < active_.size()) {
-    active_ = std::move(keep);
-    fully_active_ = false;
-  }
-}
-
-void SmoSolver::unshrink() {
-  active_.resize(static_cast<std::size_t>(n_));
-  std::iota(active_.begin(), active_.end(), index_t{0});
-  fully_active_ = true;
 }
 
 SmoCheckpoint SmoSolver::checkpoint(index_t iteration) const {
@@ -175,10 +153,7 @@ void SmoSolver::restore(const SmoCheckpoint& ck) {
   alpha_ = ck.alpha;
   f_ = ck.f;
   resume_iteration_ = ck.iteration;
-  // The shrunk active set is not part of the snapshot — restart from the
-  // full set and let shrinking rediscover it.
-  unshrink();
-  unshrunk_once_ = false;
+  refresh_all_status();
 }
 
 index_t SmoSolver::warm_start(std::span<const real_t> alphas) {
@@ -190,7 +165,7 @@ index_t SmoSolver::warm_start(std::span<const real_t> alphas) {
   // class-weighted) C of their new position.
   for (index_t i = 0; i < n_; ++i) {
     const auto iu = static_cast<std::size_t>(i);
-    alpha_[iu] = std::clamp(alphas[iu], real_t{0.0}, c_of(i));
+    alpha_[iu] = std::clamp(alphas[iu], real_t{0.0}, c_[iu]);
   }
 
   // Equality repair: sum_i a_i y_i must be exactly 0 or the solver's
@@ -252,8 +227,7 @@ index_t SmoSolver::warm_start(std::span<const real_t> alphas) {
   }
 
   resume_iteration_ = 0;
-  unshrink();
-  unshrunk_once_ = false;
+  refresh_all_status();
   return seeded;
 }
 
@@ -292,14 +266,8 @@ SolveStats SmoSolver::solve() {
 
     // Convergence test (Alg. 1 step 12, inverted).
     if (sel.b_low <= sel.b_high + 2 * params_.tolerance) {
-      if (fully_active_ || unshrunk_once_) {
-        stats.converged = true;
-        break;
-      }
-      // Converged on the shrunk set: restore everything and re-check once.
-      unshrink();
-      unshrunk_once_ = true;
-      continue;
+      stats.converged = true;
+      break;
     }
 
     const std::span<const real_t> k_high = cache_->get_row(sel.high);
@@ -316,15 +284,16 @@ SolveStats SmoSolver::solve() {
     const real_t a_lo_old = alpha_[static_cast<std::size_t>(lo)];
 
     // Eq. (5) denominator with positive-definiteness floor.
-    real_t eta = cache_->diagonal(hi) + cache_->diagonal(lo) -
+    real_t eta = kdiag_[static_cast<std::size_t>(hi)] +
+                 kdiag_[static_cast<std::size_t>(lo)] -
                  2.0 * k_high[static_cast<std::size_t>(lo)];
     if (eta <= 0) eta = kEtaFloor;
 
     // Box bounds for the new alpha_low (Platt's L/H with i1 = high),
     // generalised to per-class box constraints C_hi / C_lo.
     const real_t s = y_hi * y_lo;
-    const real_t c_hi = c_of(hi);
-    const real_t c_lo = c_of(lo);
+    const real_t c_hi = c_[static_cast<std::size_t>(hi)];
+    const real_t c_lo = c_[static_cast<std::size_t>(lo)];
     real_t lo_bound, hi_bound;
     if (s < 0) {
       lo_bound = std::max<real_t>(0.0, a_lo_old - a_hi_old);
@@ -342,6 +311,8 @@ SolveStats SmoSolver::solve() {
 
     alpha_[static_cast<std::size_t>(lo)] = a_lo_new;
     alpha_[static_cast<std::size_t>(hi)] = a_hi_new;
+    refresh_status(lo);
+    refresh_status(hi);
 
     // Eq. (4): rank-2 update of every optimality indicator.
     const real_t d_hi = (a_hi_new - a_hi_old) * y_hi;
@@ -368,9 +339,6 @@ SolveStats SmoSolver::solve() {
     if (params_.on_checkpoint && params_.checkpoint_interval > 0 &&
         iter % params_.checkpoint_interval == 0) {
       params_.on_checkpoint(checkpoint(iter));
-    }
-    if (params_.shrinking && iter % params_.shrink_interval == 0) {
-      shrink(sel);
     }
   }
 

@@ -19,9 +19,14 @@
 // the single-rhs kernel at the same level. Shapes are adversarial on
 // purpose: empty and single-element rows, batch widths 1..kMaxSmsvBatch,
 // remainder lengths straddling every vector width (2/4/8), and row
-// starts deliberately misaligned from the 64-byte allocation base.
+// starts deliberately misaligned from the 64-byte allocation base. The
+// two SMO working-set scans return an index, so they are held to the
+// scalar index and score exactly, and to the same index under any block
+// split of their range.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -546,6 +551,122 @@ TEST(CrossIsa, FormatBatchLanesBitIdenticalAtEveryLevel) {
           test::expect_bit_identical(lane(y, b, k), single);
         }
       }
+    }
+  }
+}
+
+// ------------------------------------------- SMO working-set scans
+
+enum class WssShape { kTies, kEmptyMask, kAllNegInf, kNaN, kEtaNonPositive };
+
+/// Scan inputs of length n in one of the adversarial shapes. Values come
+/// from a few discrete levels so equal scores land in every lane and
+/// block.
+test::WssScanInput wss_case(WssShape shape, index_t n, Rng& rng) {
+  constexpr real_t kInf = std::numeric_limits<real_t>::infinity();
+  test::WssScanInput in;
+  const auto un = static_cast<std::size_t>(n);
+  in.f.resize(un);
+  in.status.resize(un);
+  in.kdiag.assign(un, 1.0);
+  in.k_high.resize(un);
+  in.b_high = -1.0;
+  in.k_hh = 1.0;
+  for (std::size_t i = 0; i < un; ++i) {
+    in.f[i] = 0.5 * static_cast<real_t>(rng.uniform_int(-2, 2));
+    in.status[i] = static_cast<std::uint8_t>(rng.uniform_int(0, 3));
+    in.k_high[i] = 0.25 * static_cast<real_t>(rng.uniform_int(-1, 1));
+    switch (shape) {
+      case WssShape::kTies:
+        break;
+      case WssShape::kEmptyMask:
+        in.status[i] = 0;
+        break;
+      case WssShape::kAllNegInf:
+        // Every member scores -inf: +inf f in I_high, -inf f in I_low
+        // (whose gain b = -inf - b_high is never positive).
+        in.status[i] = i % 2 ? simd::kInHigh : simd::kInLow;
+        in.f[i] = i % 2 ? kInf : -kInf;
+        break;
+      case WssShape::kNaN:
+        if (i % 3 == 1) in.f[i] = std::numeric_limits<real_t>::quiet_NaN();
+        break;
+      case WssShape::kEtaNonPositive:
+        in.kdiag[i] = 0.0;
+        in.k_high[i] = 0.5 * static_cast<real_t>(rng.uniform_int(0, 2));
+        break;
+    }
+  }
+  if (shape == WssShape::kEtaNonPositive) in.k_hh = 0.0;
+  return in;
+}
+
+TEST(CrossIsa, WssScansMatchScalarIndexAtEveryLevel) {
+  // An index, not an accumulation: every level must return exactly the
+  // scalar table's index and score, including ties across lanes and
+  // blocks, empty masks, all -inf scores, NaN f and eta <= 0.
+  Rng rng(0x5E1Eull);
+  for (WssShape shape : {WssShape::kTies, WssShape::kEmptyMask,
+                         WssShape::kAllNegInf, WssShape::kNaN,
+                         WssShape::kEtaNonPositive}) {
+    for (index_t n : adversarial_lengths()) {
+      for (index_t off : {index_t{0}, index_t{1}, index_t{3}}) {
+        SCOPED_TRACE("shape=" + std::to_string(static_cast<int>(shape)) +
+                     " n=" + std::to_string(n) +
+                     " off=" + std::to_string(off));
+        const test::WssScanInput in = wss_case(shape, n + off, rng);
+        std::array<simd::Argmax, 3> want;
+        {
+          simd::ScopedSimdLevel scalar(simd::SimdLevel::kScalar);
+          want = test::run_wss_scans(simd::kernels(), in, off, off + n);
+        }
+        if (shape == WssShape::kEmptyMask || shape == WssShape::kAllNegInf) {
+          for (const simd::Argmax& a : want) EXPECT_EQ(a.index, -1);
+        }
+        for (simd::SimdLevel level : supported_levels()) {
+          SCOPED_TRACE(std::string(simd::level_name(level)));
+          simd::ScopedSimdLevel guard(level);
+          test::expect_same_argmax(
+              test::run_wss_scans(simd::kernels(), in, off, off + n), want);
+        }
+      }
+    }
+  }
+}
+
+TEST(CrossIsa, WssScansFoldAnySplitToTheSerialIndex) {
+  // The solver hands each thread's block to one kernel call and folds the
+  // blocks left to right: any split of [0, n) must give the serial index.
+  Rng rng(0x5E1Full);
+  for (simd::SimdLevel level : supported_levels()) {
+    simd::ScopedSimdLevel guard(level);
+    SCOPED_TRACE(std::string(simd::level_name(level)));
+    const simd::KernelTable& kt = simd::kernels();
+    for (int trial = 0; trial < 60; ++trial) {
+      const index_t n = rng.uniform_int(0, 300);
+      const auto shape = static_cast<WssShape>(rng.uniform_int(0, 4));
+      const test::WssScanInput in = wss_case(shape, n, rng);
+      const std::array<simd::Argmax, 3> whole =
+          test::run_wss_scans(kt, in, 0, n);
+      std::vector<index_t> cuts{0, n};
+      for (index_t k = rng.uniform_int(0, 6); k > 0; --k) {
+        cuts.push_back(rng.uniform_int(0, n));
+      }
+      std::sort(cuts.begin(), cuts.end());
+      std::array<simd::Argmax, 3> folded{simd::kNoArgmax, simd::kNoArgmax,
+                                         simd::kNoArgmax};
+      for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+        std::array<simd::Argmax, 3> part =
+            test::run_wss_scans(kt, in, cuts[c], cuts[c + 1]);
+        for (std::size_t k = 0; k < part.size(); ++k) {
+          if (part[k].index >= 0) part[k].index += cuts[c];
+          folded[k] = simd::fold_argmax(folded[k], part[k]);
+        }
+      }
+      SCOPED_TRACE("trial=" + std::to_string(trial) +
+                   " n=" + std::to_string(n) +
+                   " blocks=" + std::to_string(cuts.size() - 1));
+      test::expect_same_argmax(folded, whole);
     }
   }
 }

@@ -3,19 +3,23 @@
 // The deterministic-parallelism contract: for a fixed seed, the scheduler
 // decision and the trained SVM model are BIT-identical at any
 // OMP_NUM_THREADS. The primitives that make that possible are
-// parallel_reduce (chunk-ordered fold) and parallel_argmax (first-max-wins
-// merge), which the WSS scans are built on, plus elementwise parallel_for
-// updates. The empirical autotuner is exempt by design — it races
+// parallel_reduce / parallel_reduce_blocks (chunk-ordered folds, the
+// latter carrying the SMO working-set scans above their serial cutoff)
+// and parallel_argmax (first-max-wins merge), plus elementwise
+// parallel_for updates. The SMO scans must also give the same model at
+// every SIMD level. The empirical autotuner is exempt by design — it races
 // wall-clock timings — so the invariance tests pin the heuristic policy.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "data/profiles.hpp"
 #include "data/synthetic.hpp"
+#include "kernels/simd.hpp"
 #include "sched/scheduler.hpp"
 #include "svm/trainer.hpp"
 #include "test_util.hpp"
@@ -195,14 +199,13 @@ TrainResult train_deterministic(const Dataset& ds) {
   return train_fixed_format(ds, params, Format::kCSR);
 }
 
-/// The dataset is big enough (> 4096 samples) that the WSS scans take the
-/// genuinely parallel chunked path, not the small-n serial fallback.
-Dataset invariance_dataset() {
+/// `rows` random sparse samples with planted labels.
+Dataset invariance_dataset(index_t rows) {
   Rng rng(0x47u);
   Dataset ds;
   ds.name = "invariance";
-  std::vector<index_t> lens(4500, 6);
-  ds.X = make_random_sparse(4500, 48, lens, rng);
+  std::vector<index_t> lens(static_cast<std::size_t>(rows), 6);
+  ds.X = make_random_sparse(rows, 48, lens, rng);
   ds.y = plant_labels(ds.X, 0.1, 7);
   return ds;
 }
@@ -225,14 +228,50 @@ void expect_same_model(const TrainResult& a, const TrainResult& b,
 }
 
 TEST(Invariance, SvmModelBitIdenticalAcrossThreadCounts) {
-  const Dataset ds = invariance_dataset();
-  const TrainResult base =
-      with_threads(1, [&] { return train_deterministic(ds); });
-  EXPECT_GT(base.stats.iterations, 0);
-  for (int t : thread_counts()) {
-    const TrainResult got =
-        with_threads(t, [&] { return train_deterministic(ds); });
-    expect_same_model(base, got, t);
+  // 4500 samples run the working-set scans as one kernel call; the second
+  // case is big enough that they split across the team and fold blocks.
+  static_assert(SmoSolver::kSerialScanMax >= 4500);
+  for (index_t rows : {index_t{4500}, SmoSolver::kSerialScanMax + 3001}) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    const Dataset ds = invariance_dataset(rows);
+    const TrainResult base =
+        with_threads(1, [&] { return train_deterministic(ds); });
+    EXPECT_GT(base.stats.iterations, 0);
+    for (int t : thread_counts()) {
+      const TrainResult got =
+          with_threads(t, [&] { return train_deterministic(ds); });
+      expect_same_model(base, got, t);
+    }
+  }
+}
+
+TEST(Invariance, LibsvmBaselineModelBitIdenticalAcrossSimdLevels) {
+  // The baseline's merge-join kernel rows do not depend on the SIMD level,
+  // so only the working-set scans run level-specific code: every level
+  // must select the same pairs and give a bit-identical model.
+  Rng rng(0x48u);
+  Dataset ds;
+  ds.name = "simd-levels";
+  ds.X = test::random_matrix(700, 24, 0.3, rng);
+  ds.y = plant_labels(ds.X, 0.1, 9);
+  SvmParams params;
+  params.kernel.type = KernelType::kGaussian;
+  params.kernel.gamma = 0.5;
+  TrainResult base;
+  {
+    simd::ScopedSimdLevel scalar(simd::SimdLevel::kScalar);
+    base = train_libsvm_baseline(ds, params);
+  }
+  ASSERT_TRUE(base.stats.converged);
+  for (int l = 1; l < simd::kNumSimdLevels; ++l) {
+    const auto level = static_cast<simd::SimdLevel>(l);
+    if (!simd::level_supported(level)) continue;
+    simd::ScopedSimdLevel guard(level);
+    const TrainResult got = train_libsvm_baseline(ds, params);
+    SCOPED_TRACE(std::string(simd::level_name(level)));
+    expect_same_model(base, got, l);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.stats.objective),
+              std::bit_cast<std::uint64_t>(base.stats.objective));
   }
 }
 

@@ -7,12 +7,14 @@
 //    multiplied at every supported LS_SIMD level and compared against the
 //    scalar reference (ULP) plus the per-level lane bit-identity check;
 //  * kernel fuzz: raw dispatch-table entry points on random lengths,
-//    unaligned offsets and index patterns.
+//    unaligned offsets and index patterns, including the SMO working-set
+//    scans (exact index agreement on tie-heavy, inf/NaN-laced inputs).
 // The suite also runs under ASan/UBSan and TSan via scripts/check.sh; a
 // finding there is a failure even when the numerics agree.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -190,6 +192,62 @@ TEST(SimdFuzz, RawKernelsAgreeAcrossLevelsOnRandomShapes) {
       kt.sparse_row_batch(v.data() + off, c.data() + off, n, wb.data(), b,
                           bdot.data());
       test::expect_ulp_near(bdot, bdot_s);
+    }
+  }
+}
+
+TEST(SimdFuzz, WssScansAgreeAcrossLevelsOnRandomInputs) {
+  // The SMO scans return an index, so every level must match the scalar
+  // table exactly. Scores mix ties across lanes, +-inf, NaN and eta <= 0.
+  const std::vector<SimdLevel> levels = supported_vector_levels();
+  if (levels.empty()) GTEST_SKIP() << "scalar-only host: nothing to compare";
+  constexpr int kTrials = 200;
+  constexpr real_t kInf = std::numeric_limits<real_t>::infinity();
+  const real_t specials[] = {kInf, -kInf,
+                             std::numeric_limits<real_t>::quiet_NaN()};
+
+  for (int t = 0; t < kTrials; ++t) {
+    const std::uint64_t seed =
+        base_seed() ^ (0xC2B2AE3D27D4EB4Full + static_cast<std::uint64_t>(t));
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    const index_t n = rng.uniform_int(0, 300);
+    const index_t off = rng.uniform_int(0, 7);
+    const double p_special = rng.uniform(0.0, 0.2);
+    const std::uint8_t status_mask =
+        static_cast<std::uint8_t>(rng.uniform_int(0, 3));
+    SCOPED_TRACE("n=" + std::to_string(n) + " off=" + std::to_string(off));
+
+    test::WssScanInput in;
+    const auto len = static_cast<std::size_t>(n + off);
+    in.f.resize(len);
+    in.status.resize(len);
+    in.kdiag.resize(len);
+    in.k_high.resize(len);
+    in.b_high = 0.25 * static_cast<real_t>(rng.uniform_int(-4, 4));
+    in.k_hh = 0.5 * static_cast<real_t>(rng.uniform_int(0, 2));
+    for (std::size_t i = 0; i < len; ++i) {
+      // Coarse levels: equal scores recur within and across blocks.
+      in.f[i] = 0.25 * static_cast<real_t>(rng.uniform_int(-6, 6));
+      if (rng.bernoulli(p_special)) {
+        in.f[i] = specials[rng.uniform_int(0, 2)];
+      }
+      in.status[i] =
+          static_cast<std::uint8_t>(rng.uniform_int(0, 3) & status_mask);
+      in.kdiag[i] = 0.5 * static_cast<real_t>(rng.uniform_int(0, 2));
+      in.k_high[i] = 0.5 * static_cast<real_t>(rng.uniform_int(-1, 2));
+    }
+
+    std::array<simd::Argmax, 3> want;
+    {
+      simd::ScopedSimdLevel guard(SimdLevel::kScalar);
+      want = test::run_wss_scans(simd::kernels(), in, off, off + n);
+    }
+    for (SimdLevel level : levels) {
+      SCOPED_TRACE(std::string(simd::level_name(level)));
+      simd::ScopedSimdLevel guard(level);
+      test::expect_same_argmax(
+          test::run_wss_scans(simd::kernels(), in, off, off + n), want);
     }
   }
 }

@@ -383,24 +383,6 @@ TEST(Smo, FirstAndSecondOrderSelectionAgreeOnObjective) {
               1e-2 * std::abs(r1.stats.objective) + 1e-6);
 }
 
-TEST(Smo, ShrinkingPreservesTheSolution) {
-  Rng rng(40);
-  Dataset ds;
-  ds.name = "shrink";
-  ds.X = test::random_matrix(80, 10, 0.4, rng);
-  ds.y = plant_labels(ds.X, 0.1, 13);
-  SvmParams plain;
-  SvmParams shrunk;
-  shrunk.shrinking = true;
-  shrunk.shrink_interval = 20;
-  const TrainResult r1 = train_fixed_format(ds, plain, Format::kCSR);
-  const TrainResult r2 = train_fixed_format(ds, shrunk, Format::kCSR);
-  ASSERT_TRUE(r1.stats.converged);
-  ASSERT_TRUE(r2.stats.converged);
-  EXPECT_NEAR(r2.stats.objective, r1.stats.objective,
-              1e-2 * std::abs(r1.stats.objective) + 1e-6);
-}
-
 TEST(Smo, RejectsNonBinaryLabels) {
   Dataset ds = tiny_dataset({{1.0}, {2.0}}, {1.0, 3.0});
   SvmParams params;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include "formats/any_matrix.hpp"
 #include "formats/coo.hpp"
 #include "formats/dense.hpp"
+#include "kernels/simd.hpp"
 
 namespace ls::test {
 
@@ -127,6 +129,41 @@ inline void expect_bit_identical(std::span<const real_t> a,
     EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
               std::bit_cast<std::uint64_t>(b[i]))
         << "at index " << i << ": " << a[i] << " vs " << b[i];
+  }
+}
+
+/// Inputs of the two SMO working-set scan kernels (wss_high_low and
+/// wss_gain), laid out as the solver keeps them.
+struct WssScanInput {
+  std::vector<real_t> f, kdiag, k_high;
+  std::vector<std::uint8_t> status;
+  real_t b_high = 0.0;
+  real_t k_hh = 1.0;
+};
+
+/// Runs both scans of `kt` on [lo, hi): {high, low, gain}, indices
+/// relative to lo.
+inline std::array<simd::Argmax, 3> run_wss_scans(const simd::KernelTable& kt,
+                                                 const WssScanInput& in,
+                                                 index_t lo, index_t hi) {
+  std::array<simd::Argmax, 3> r;
+  const auto l = static_cast<std::size_t>(lo);
+  kt.wss_high_low(in.f.data() + l, in.status.data() + l, hi - lo, r.data());
+  r[2] = kt.wss_gain(in.f.data() + l, in.status.data() + l,
+                     in.kdiag.data() + l, in.k_high.data() + l, hi - lo,
+                     in.b_high, in.k_hh, 1e-12);
+  return r;
+}
+
+/// EXPECT two scan results to agree exactly: the same index and the same
+/// score bits.
+inline void expect_same_argmax(const std::array<simd::Argmax, 3>& got,
+                               const std::array<simd::Argmax, 3>& want) {
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].index, want[k].index) << "scan " << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k].value),
+              std::bit_cast<std::uint64_t>(want[k].value))
+        << "scan " << k << ": " << got[k].value << " vs " << want[k].value;
   }
 }
 
