@@ -1,6 +1,6 @@
-// Ablation: do the derived formats (CSC, HYB, JDS — Section III-A's "other
+// Ablation: do the derived formats (CSC, HYB — Section III-A's "other
 // storage formats") ever beat the basic five? Measures the SMSV cost of
-// all eight formats on structures chosen to favour each candidate, and
+// all seven formats on structures chosen to favour each candidate, and
 // records what the extended autotuner picks (the `picked` CSV column).
 // Docs on removing a format that never wins: docs/adding_a_format.md.
 #include <array>
@@ -47,7 +47,7 @@ CooMatrix make_hot_columns(index_t m, index_t n, Rng& rng) {
 int main() {
   using namespace ls;
   bench::banner("Ablation: extended formats",
-                "CSC, HYB and JDS vs the paper's basic five");
+                "CSC and HYB vs the paper's basic five");
 
   Rng rng(0xE87E);
   struct Workload {
@@ -67,7 +67,7 @@ int main() {
                        make_banded(2048, 2048, {0, 1, -1, 2, -2}, 1.0, rng)});
 
   Table table({"Workload", "DEN", "CSR", "COO", "ELL", "DIA", "CSC", "HYB",
-               "JDS", "autotune pick"});
+               "autotune pick"});
   CsvWriter csv(bench::csv_path("ablation_extended_formats"),
                 {"workload", "format", "seconds", "picked"});
 
@@ -96,7 +96,7 @@ int main() {
       "CSC pays off when the SMSV right-hand side is sparse (it skips "
       "every column\noutside the gathered row's support — a structural win "
       "the paper's five formats\ncannot express); HYB bounds ELL's padding "
-      "under skewed rows; JDS streams like\nELL with zero padding.\n");
+      "under skewed rows.\n");
   bench::finish(csv, "ablation_extended_formats");
   return 0;
 }

@@ -32,7 +32,10 @@ int main() {
   for (const DatasetProfile& profile : evaluated_profiles()) {
     const Dataset ds = profile.generate();
 
-    // Measure every format's SMO-row cost.
+    // Measure every format's SMO-row cost, after one untimed pass over
+    // the matrix: without it, CSR on the first dataset (adult) sometimes
+    // timed as slow as DEN or slower, which misreads the whole row.
+    (void)bench::smo_row_seconds(ds.X, Format::kCSR, kernel);
     std::array<double, kNumFormats> secs{};
     for (Format f : kAllFormats) {
       secs[static_cast<std::size_t>(f)] =

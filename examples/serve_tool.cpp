@@ -101,10 +101,7 @@ int run(int argc, char** argv) {
                "layout policy: empirical|heuristic|fixed");
   cli.add_flag("fixed-format", "CSR",
                "layout used when --policy fixed (DEN|CSR|COO|ELL|DIA|CSC|"
-               "HYB|JDS)");
-  cli.add_flag("hint", "throughput",
-               "deployment hint for load-time layout probes: "
-               "latency|throughput");
+               "HYB)");
   cli.add_flag("reschedule", "false",
                "enable the online layout bandit: sample live per-layout "
                "timings and re-materialise models in a decisively better "
@@ -122,7 +119,7 @@ int run(int argc, char** argv) {
   cli.add_flag("reschedule-hysteresis-ms", "500",
                "minimum dwell time between switches of the same model");
   cli.add_flag("reschedule-extended", "false",
-               "bandit arms cover all eight formats instead of the basic "
+               "bandit arms cover all seven formats instead of the basic "
                "five");
   ls::add_observability_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
@@ -136,7 +133,6 @@ int run(int argc, char** argv) {
   opts.latency_budget_ms = cli.get_double("latency-budget-ms");
   opts.sched.policy = ls::parse_policy(cli.get("policy"));
   opts.sched.fixed_format = ls::parse_format(cli.get("fixed-format"));
-  opts.hint = ls::parse_deployment_hint(cli.get("hint"));
   opts.reschedule.enabled = cli.get_bool("reschedule");
   opts.reschedule.interval_ms = cli.get_double("reschedule-interval-ms");
   opts.reschedule.switch_threshold = cli.get_double("reschedule-threshold");
@@ -172,19 +168,16 @@ int run(int argc, char** argv) {
   ls::serve::ServeServer server(engine, listen);
   server.start();
   if (!listen.unix_path.empty()) {
-    std::printf("serving on unix:%s  (workers=%d batch=%d queue=%zu "
-                "hint=%s)\n",
+    std::printf("serving on unix:%s  (workers=%d batch=%d queue=%zu)\n",
                 listen.unix_path.c_str(), opts.workers,
                 static_cast<int>(opts.batcher.max_batch),
-                opts.batcher.max_queue,
-                ls::deployment_hint_name(opts.hint));
+                opts.batcher.max_queue);
   } else {
     std::printf("serving on tcp:127.0.0.1:%d  (workers=%d batch=%d "
-                "queue=%zu hint=%s)\n",
+                "queue=%zu)\n",
                 server.port(), opts.workers,
                 static_cast<int>(opts.batcher.max_batch),
-                opts.batcher.max_queue,
-                ls::deployment_hint_name(opts.hint));
+                opts.batcher.max_queue);
   }
   if (opts.reschedule.enabled) {
     std::printf("online rescheduling on (interval=%gms threshold=%g "

@@ -11,7 +11,6 @@
 #endif
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -122,30 +121,6 @@ T parallel_reduce(index_t n, T init, Fn&& fn, Combine&& combine) {
   };
   if (num_threads() <= 1 || n < 4096) return fold(0, n);
   return parallel_reduce_blocks(n, init, fold, combine);
-}
-
-/// Deterministic parallel argmax: the smallest index attaining the maximum
-/// of score(i) over [0, n), or -1 when n == 0 or no score exceeds `floor`.
-/// Ties and chunk merging both keep the first (lowest-index) winner, so the
-/// result matches the serial loop for any thread count.
-template <class Score>
-index_t parallel_argmax(index_t n, Score&& score,
-                        real_t floor = -std::numeric_limits<real_t>::infinity()) {
-  struct Best {
-    real_t value;
-    index_t index;
-  };
-  const Best init{floor, -1};
-  const Best best = parallel_reduce(
-      n, init,
-      [&](index_t i) -> Best { return {score(i), i}; },
-      [](const Best& a, const Best& b) -> Best {
-        if (b.index < 0) return a;
-        // Strictly greater: on ties the earlier index wins, which makes the
-        // fold invariant to how [0, n) was chunked.
-        return b.value > a.value ? b : a;
-      });
-  return best.index;
 }
 
 }  // namespace ls

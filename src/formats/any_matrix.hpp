@@ -1,5 +1,5 @@
 // Runtime-polymorphic matrix: the object the layout scheduler actually
-// hands to the SVM solver. A std::variant over the eight concrete formats
+// hands to the SVM solver. A std::variant over the seven concrete formats
 // keeps dispatch branch-predictable (no virtual calls in the SMSV loop —
 // one visit per multiply, not per element).
 #pragma once
@@ -18,7 +18,6 @@
 #include "formats/ell.hpp"
 #include "formats/format.hpp"
 #include "formats/hyb.hpp"
-#include "formats/jds.hpp"
 #include "formats/sparse_vector.hpp"
 
 namespace ls {
@@ -34,7 +33,6 @@ class AnyMatrix {
   AnyMatrix(DiaMatrix m) : m_(std::move(m)) {}
   AnyMatrix(CscMatrix m) : m_(std::move(m)) {}
   AnyMatrix(HybMatrix m) : m_(std::move(m)) {}
-  AnyMatrix(JdsMatrix m) : m_(std::move(m)) {}
 
   /// Materialises `coo` in the requested storage format.
   static AnyMatrix from_coo(const CooMatrix& coo, Format f) {
@@ -46,7 +44,6 @@ class AnyMatrix {
       case Format::kDIA: return AnyMatrix(DiaMatrix(coo));
       case Format::kCSC: return AnyMatrix(CscMatrix(coo));
       case Format::kHYB: return AnyMatrix(HybMatrix(coo));
-      case Format::kJDS: return AnyMatrix(JdsMatrix(coo));
     }
     throw Error("from_coo: invalid format");
   }
@@ -146,7 +143,7 @@ class AnyMatrix {
 
  private:
   std::variant<DenseMatrix, CsrMatrix, CooMatrix, EllMatrix, DiaMatrix,
-               CscMatrix, HybMatrix, JdsMatrix>
+               CscMatrix, HybMatrix>
       m_;
 };
 

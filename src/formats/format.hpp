@@ -4,7 +4,7 @@
 // DEN (dense), CSR (compressed sparse row), COO (coordinate),
 // ELL (ELLPACK/ITPACK) and DIA (diagonal). The paper notes that "most of
 // the other storage formats can be derived from these basic formats" and
-// names CSC as an example. CSC, HYB and JDS are implemented as *extended*
+// names CSC as an example. CSC and HYB are implemented as *extended*
 // formats: the empirical autotuner can consider them, while the paper-
 // reproduction benches stick to the basic five.
 #pragma once
@@ -27,10 +27,9 @@ enum class Format : int {
   kDIA = 4,
   // Derived formats (Section III-A's "other storage formats").
   kCSC = 5,
-  // 6 was BCSR (removed). Freed values are not reused, so every other
-  // format keeps the value it always had.
+  // 6 was BCSR and 8 was JDS (both removed). Freed values are not reused,
+  // so every other format keeps the value it always had.
   kHYB = 7,
-  kJDS = 8,
 };
 
 /// Number of basic (paper) formats.
@@ -42,17 +41,17 @@ inline constexpr int kNumBasicFormats = 5;
 inline constexpr int kMaxSmsvBatch = 64;
 
 /// One past the largest Format value: the size of arrays indexed by Format.
-/// Larger than the number of formats by the freed values (see Format).
-inline constexpr int kNumFormats = 9;
+/// Larger than the number of formats by the freed value 6 (see Format).
+inline constexpr int kNumFormats = 8;
 
 /// The paper's basic formats in Table II column order (DEN CSR COO ELL DIA).
 inline constexpr std::array<Format, kNumBasicFormats> kAllFormats = {
     Format::kDEN, Format::kCSR, Format::kCOO, Format::kELL, Format::kDIA};
 
 /// Every supported format, basic + derived.
-inline constexpr std::array<Format, 8> kExtendedFormats = {
+inline constexpr std::array<Format, 7> kExtendedFormats = {
     Format::kDEN, Format::kCSR, Format::kCOO, Format::kELL,
-    Format::kDIA, Format::kCSC, Format::kHYB, Format::kJDS};
+    Format::kDIA, Format::kCSC, Format::kHYB};
 
 /// Short upper-case name as printed in the paper's tables.
 constexpr std::string_view format_name(Format f) {
@@ -64,7 +63,6 @@ constexpr std::string_view format_name(Format f) {
     case Format::kDIA: return "DIA";
     case Format::kCSC: return "CSC";
     case Format::kHYB: return "HYB";
-    case Format::kJDS: return "JDS";
   }
   return "???";
 }
@@ -75,7 +73,7 @@ inline Format parse_format(std::string_view name) {
     if (format_name(f) == name) return f;
   }
   throw Error("unknown format name: '" + std::string(name) +
-              "' (expected DEN, CSR, COO, ELL, DIA, CSC, HYB or JDS)");
+              "' (expected DEN, CSR, COO, ELL, DIA, CSC or HYB)");
 }
 
 }  // namespace ls

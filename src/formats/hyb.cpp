@@ -81,9 +81,8 @@ void HybMatrix::multiply_dense(std::span<const real_t> w,
     const index_t* __restrict ck = ell_cols_.data() + slot(0, k);
     kt.gather_axpy(vk, ck, rows_, wd, y.data());
   }
-  // COO overflow stays scalar: a row can spill several nonzeros, so the
-  // pairwise-distinct-rows precondition of gather_scatter_axpy does not
-  // hold here.
+  // COO overflow stays scalar: a row can spill several nonzeros, so its
+  // updates cannot be vectorised as independent lanes.
   for (std::size_t k = 0; k < coo_vals_.size(); ++k) {
     y[static_cast<std::size_t>(coo_rows_[k])] +=
         coo_vals_[k] * wd[coo_cols_[k]];

@@ -47,9 +47,6 @@ inline index_t storage_words(Format f, const StorageShape& s) {
     case Format::kHYB:
       // padded slab (values + cols) + per-row occupancy + overflow triples.
       return 2 * s.rows * s.hyb_width + s.rows + 3 * s.hyb_overflow;
-    case Format::kJDS:
-      // values + cols + jd pointer (mdim + 1) + two permutation arrays.
-      return 2 * s.nnz + s.mdim + 1 + 2 * s.rows;
   }
   return 0;
 }
@@ -65,7 +62,6 @@ inline index_t storage_words_min(Format f, index_t m, index_t n) {
     case Format::kDIA: return m + 1;        // O(M + 1): one diagonal
     case Format::kCSC: return n + 2;        // empty data, ptr only
     case Format::kHYB: return 3 * m + 3;  // width-1 slab + occupancy
-    case Format::kJDS: return 2 * m + 4;  // 1 nnz + pointers + perms
   }
   return 0;
 }
@@ -87,9 +83,6 @@ inline index_t storage_words_max(Format f, index_t m, index_t n) {
     case Format::kHYB:
       // Dense: slab width n, no overflow, plus the occupancy array.
       return 2 * m * n + m;
-    case Format::kJDS:
-      // Dense: nnz = m * n plus pointers and the two permutations.
-      return 2 * m * n + n + 1 + 2 * m;
   }
   return 0;
 }

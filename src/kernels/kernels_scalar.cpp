@@ -53,15 +53,6 @@ void gather_axpy(const real_t* __restrict v, const index_t* __restrict c,
   for (index_t i = 0; i < len; ++i) y[i] += v[i] * w[c[i]];
 }
 
-void gather_scatter_axpy(const real_t* __restrict v,
-                         const index_t* __restrict c,
-                         const index_t* __restrict rows, index_t len,
-                         const real_t* __restrict w, real_t* y) {
-  for (index_t i = 0; i < len; ++i) {
-    y[static_cast<std::size_t>(rows[i])] += v[i] * w[c[i]];
-  }
-}
-
 void gather_axpy_batch(const real_t* __restrict v,
                        const index_t* __restrict c, index_t len,
                        const real_t* __restrict w, index_t b,
@@ -70,19 +61,6 @@ void gather_axpy_batch(const real_t* __restrict v,
     const real_t a = v[i];
     const real_t* __restrict wj = w + static_cast<std::size_t>(c[i] * b);
     real_t* __restrict yi = y + static_cast<std::size_t>(i * b);
-    for (index_t q = 0; q < b; ++q) yi[q] += a * wj[q];
-  }
-}
-
-void gather_scatter_axpy_batch(const real_t* __restrict v,
-                               const index_t* __restrict c,
-                               const index_t* __restrict rows, index_t len,
-                               const real_t* __restrict w, index_t b,
-                               real_t* y) {
-  for (index_t i = 0; i < len; ++i) {
-    const real_t a = v[i];
-    const real_t* __restrict wj = w + static_cast<std::size_t>(c[i] * b);
-    real_t* __restrict yi = y + static_cast<std::size_t>(rows[i] * b);
     for (index_t q = 0; q < b; ++q) yi[q] += a * wj[q];
   }
 }
@@ -129,9 +107,7 @@ const KernelTable& scalar_table() {
       dense_row_batch,
       sparse_row_batch,
       gather_axpy,
-      gather_scatter_axpy,
       gather_axpy_batch,
-      gather_scatter_axpy_batch,
       wss_high_low,
       wss_gain,
   };

@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD micro-kernel layer.
 //
 // Every format SMSV hot loop (dense row dots, CSR gather-dots, the
-// ELL/JDS diagonal strips and all their batched-rhs variants) calls
+// ELL/HYB diagonal strips and all their batched-rhs variants) calls
 // through one process-wide KernelTable selected at startup from the CPU's
 // capabilities (cpuid) and overridable with LS_SIMD=scalar|avx2|avx512|
 // neon|native for tests and ops. The scalar table is always present and
@@ -99,22 +99,9 @@ struct KernelTable {
   void (*gather_axpy)(const real_t* v, const index_t* c, index_t len,
                       const real_t* w, real_t* y);
 
-  /// y[rows[i]] += v[i] * w[c[i]] for i in [0, len) — a JDS diagonal
-  /// strip. Precondition: rows[0..len) are pairwise distinct (JDS
-  /// diagonals touch each permuted row at most once).
-  void (*gather_scatter_axpy)(const real_t* v, const index_t* c,
-                              const index_t* rows, index_t len,
-                              const real_t* w, real_t* y);
-
   /// y[i*b + q] += v[i] * w[c[i]*b + q] — batched ELL/HYB strip.
   void (*gather_axpy_batch)(const real_t* v, const index_t* c, index_t len,
                             const real_t* w, index_t b, real_t* y);
-
-  /// y[rows[i]*b + q] += v[i] * w[c[i]*b + q] — batched JDS strip.
-  /// Rows may repeat (lanes are updated per i, in i order).
-  void (*gather_scatter_axpy_batch)(const real_t* v, const index_t* c,
-                                    const index_t* rows, index_t len,
-                                    const real_t* w, index_t b, real_t* y);
 
   /// SMO's fused I_high/I_low pass over i in [0, n): out[0] = argmax of
   /// -f[i] over status[i] & kInHigh, out[1] = argmax of f[i] over

@@ -186,67 +186,22 @@ void vk_gather_axpy(const real_t* __restrict v, const index_t* __restrict c,
 }
 
 template <class V>
-void vk_gather_scatter_axpy(const real_t* __restrict v,
-                            const index_t* __restrict c,
-                            const index_t* __restrict rows, index_t len,
-                            const real_t* __restrict w, real_t* y) {
-  constexpr int W = V::W;
-  index_t i = 0;
-  // The gather of w is the memory-bound part and vectorises; the scatter
-  // into y stays scalar (per-lane fused multiply-add, so the update is
-  // the same operation the batched strip applies per lane) — which also
-  // makes duplicate-free-ness of `rows` within one vector irrelevant for
-  // correctness of the arithmetic itself.
-  alignas(64) double tw[W];
-  for (; i + W <= len; i += W) {
-    V::storeu(tw, V::gather(w, c + i));
-    for (int l = 0; l < W; ++l) {
-      const auto row = static_cast<std::size_t>(rows[i + l]);
-      y[row] = std::fma(v[i + l], tw[l], y[row]);
-    }
-  }
-  for (; i < len; ++i) {
-    const auto row = static_cast<std::size_t>(rows[i]);
-    y[row] = std::fma(v[i], w[c[i]], y[row]);
-  }
-}
-
-/// Shared body of the two batched strip kernels: `dst(i)` maps strip slot
-/// i to the output row (i for ELL, rows[i] for JDS).
-template <class V, class DstFn>
-void vk_strip_batch(const real_t* __restrict v, const index_t* __restrict c,
-                    DstFn&& dst, index_t len, const real_t* __restrict w,
-                    index_t b, real_t* y) {
+void vk_gather_axpy_batch(const real_t* __restrict v,
+                          const index_t* __restrict c, index_t len,
+                          const real_t* __restrict w, index_t b,
+                          real_t* __restrict y) {
   constexpr int W = V::W;
   for (index_t i = 0; i < len; ++i) {
     const double a = v[i];
     const typename V::reg av = V::broadcast(a);
     const real_t* __restrict wj = w + static_cast<std::size_t>(c[i] * b);
-    real_t* __restrict yi = y + static_cast<std::size_t>(dst(i) * b);
+    real_t* __restrict yi = y + static_cast<std::size_t>(i * b);
     index_t q = 0;
     for (; q + W <= b; q += W) {
       V::storeu(yi + q, V::fmadd(av, V::loadu(wj + q), V::loadu(yi + q)));
     }
     for (; q < b; ++q) yi[q] = std::fma(a, wj[q], yi[q]);
   }
-}
-
-template <class V>
-void vk_gather_axpy_batch(const real_t* __restrict v,
-                          const index_t* __restrict c, index_t len,
-                          const real_t* __restrict w, index_t b,
-                          real_t* __restrict y) {
-  vk_strip_batch<V>(v, c, [](index_t i) { return i; }, len, w, b, y);
-}
-
-template <class V>
-void vk_gather_scatter_axpy_batch(const real_t* __restrict v,
-                                  const index_t* __restrict c,
-                                  const index_t* __restrict rows, index_t len,
-                                  const real_t* __restrict w, index_t b,
-                                  real_t* y) {
-  vk_strip_batch<V>(v, c, [rows](index_t i) { return rows[i]; }, len, w, b,
-                    y);
 }
 
 // SMO working-set scans. Lane l of a W-wide scan keeps the best score it
@@ -407,9 +362,7 @@ KernelTable make_vector_table(SimdLevel level) {
       &vk_dense_row_batch<V>,
       &vk_sparse_row_batch<V>,
       &vk_gather_axpy<V>,
-      &vk_gather_scatter_axpy<V>,
       &vk_gather_axpy_batch<V>,
-      &vk_gather_scatter_axpy_batch<V>,
       &vk_wss_high_low<V>,
       &vk_wss_gain<V>,
   };

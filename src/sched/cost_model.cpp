@@ -34,8 +34,6 @@ double modeled_flops(Format f, const MatrixFeatures& feat) {
       // Auto-width slab (width = ceil(adim)): padding is bounded by ~M and
       // the overflow adds no padding at all.
       return nnz + m;
-    case Format::kJDS:
-      return nnz;  // no padding by construction
   }
   return 0.0;
 }
@@ -56,9 +54,6 @@ double modeled_bytes(Format f, const MatrixFeatures& feat) {
       return flops * (vb + ib) + (static_cast<double>(feat.n) + 1) * ib;
     case Format::kHYB:
       return flops * (vb + ib) + m * ib;  // + per-row occupancy
-    case Format::kJDS:
-      return flops * (vb + ib) +
-             (static_cast<double>(feat.mdim) + 1 + 2 * m) * ib;
   }
   return 0.0;
 }
@@ -110,7 +105,6 @@ CostCalibration CostCalibration::measure() {
   time_format(banded, Format::kDIA);
   time_format(sparse, Format::kCSC);
   time_format(sparse, Format::kHYB);
-  time_format(sparse, Format::kJDS);
 
   // ISA probes: the active dispatch level's streamed vs gathered cost per
   // element, measured on the level's own micro-kernels. The ratio feeds
@@ -219,7 +213,7 @@ CostPrediction predict_cost(const MatrixFeatures& feat,
 
 std::array<double, kNumFormats> predicted_arm_priors(
     const MatrixFeatures& feat, const CostCalibration& cal) {
-  // All eight formats, not just the paper's five: the bandit's arm set is
+  // All seven formats, not just the paper's five: the bandit's arm set is
   // configurable and a prior of 0.0 would read as "free".
   std::array<double, kNumFormats> priors{};
   for (Format f : kExtendedFormats) {

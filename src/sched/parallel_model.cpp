@@ -29,9 +29,8 @@ std::vector<double> per_row_ops(Format f, const std::vector<index_t>& row_nnz,
       break;
     }
     case Format::kHYB:
-    case Format::kJDS:
-      // Approximation: these formats do ~nnz work per row (HYB slab
-      // padding is a structure-dependent lower-order term).
+      // Approximation: HYB does ~nnz work per row (its slab padding is a
+      // structure-dependent lower-order term).
       for (std::size_t i = 0; i < ops.size(); ++i) {
         ops[i] = static_cast<double>(row_nnz[i]);
       }

@@ -132,33 +132,6 @@ void record_decision_metrics(const ScheduleDecision& d) {
   }
 }
 
-SchedulerOptions tuned_for_deployment(SchedulerOptions base,
-                                      DeploymentHint hint) {
-  if (base.policy == SchedulePolicy::kEmpirical) {
-    // The probe dimension is the serving regime: a latency deployment
-    // scores one request per SMSV, a throughput deployment streams the
-    // SV matrix once per micro-batch.
-    base.autotune.batch_rows =
-        hint == DeploymentHint::kThroughput ? kMaxSmsvBatch : 1;
-  }
-  return base;
-}
-
-DeploymentHint parse_deployment_hint(const std::string& name) {
-  if (name == "latency") return DeploymentHint::kLatency;
-  if (name == "throughput") return DeploymentHint::kThroughput;
-  throw Error("unknown deployment hint '" + name +
-              "' (expected latency or throughput)");
-}
-
-const char* deployment_hint_name(DeploymentHint hint) {
-  switch (hint) {
-    case DeploymentHint::kLatency: return "latency";
-    case DeploymentHint::kThroughput: return "throughput";
-  }
-  return "?";
-}
-
 SchedulePolicy parse_policy(const std::string& name) {
   if (name == "empirical") return SchedulePolicy::kEmpirical;
   if (name == "heuristic") return SchedulePolicy::kHeuristic;

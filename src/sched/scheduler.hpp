@@ -71,29 +71,6 @@ class LayoutScheduler {
 /// Parses a policy name ("empirical", "heuristic", "fixed").
 SchedulePolicy parse_policy(const std::string& name);
 
-/// Deployment shape of a model loaded for serving: what the layout
-/// decision should optimise for.
-enum class DeploymentHint {
-  kLatency,     ///< single-request path: race the single-rhs SMSV
-  kThroughput,  ///< micro-batched path: race multiply_dense_batch
-};
-
-/// Load-time decision API for the serving subsystem: returns `base` tuned
-/// for the deployment shape. Latency-optimized probes candidates on the
-/// single-rhs SMSV a lone request issues; throughput-optimized probes the
-/// batched kernel (kMaxSmsvBatch right-hand sides) the micro-batcher runs,
-/// which can prefer a different format (see bench/ablation_batch_rows).
-/// Only the empirical policy has a probe dimension to tune; other policies
-/// pass through unchanged.
-SchedulerOptions tuned_for_deployment(SchedulerOptions base,
-                                      DeploymentHint hint);
-
-/// Parses a hint name ("latency", "throughput").
-DeploymentHint parse_deployment_hint(const std::string& name);
-
-/// Hint name for logs and metrics annotations.
-const char* deployment_hint_name(DeploymentHint hint);
-
 /// Records a *final* schedule decision into the metrics registry: chosen
 /// format, per-candidate scores, degradation flag and drop notes. Called by
 /// the trainer facade and LayoutScheduler::schedule once per decision — a

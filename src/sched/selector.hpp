@@ -83,7 +83,7 @@ struct AutotuneOptions {
   /// Skip candidates whose modelled storage exceeds this multiple of the
   /// matrix's CSR storage (avoids materialising absurd layouts).
   double max_storage_ratio = 64.0;
-  /// Also consider the derived formats (CSC, HYB, JDS) beyond the paper's
+  /// Also consider the derived formats (CSC, HYB) beyond the paper's
   /// five basic formats.
   bool include_extended = false;
   /// Per-candidate wall-clock budget in seconds (0 = unlimited). A

@@ -7,7 +7,7 @@
 // Components:
 //
 //   ModelRegistry   N hosted models, layouts chosen at load time
-//                   (latency- or throughput-optimized, sched hint)
+//                   (probed on the batched SMSV the batcher runs)
 //   MicroBatcher    bounded queue; coalesces concurrent requests
 //   worker pool     scores batches via BatchPredictor's re-entrant
 //                   span API (one multiply_dense_batch per flush)
@@ -44,9 +44,9 @@ struct ServeOptions {
   /// them are shed with kOverloaded instead of scored — compute spent on a
   /// request the client has given up on is pure waste. 0 disables.
   double latency_budget_ms = 0.0;
-  /// Load-time layout decision shape (see sched::tuned_for_deployment).
-  DeploymentHint hint = DeploymentHint::kThroughput;
-  /// Base scheduler options; the hint tunes these at load time.
+  /// Load-time scheduler options. With the empirical policy the engine
+  /// probes candidates on the batched kernel the micro-batcher runs
+  /// (autotune.batch_rows = kMaxSmsvBatch).
   SchedulerOptions sched;
   /// Online layout re-scheduling policy (off unless reschedule.enabled).
   ReschedulerOptions reschedule;
@@ -116,11 +116,11 @@ class ServeEngine {
   void stop();
 
   /// Loads (or hot-reloads) `name` from `path`: deserializes the
-  /// CRC-verified model file, runs the load-time layout decision under the
-  /// deployment hint, and atomically swaps the registry entry. In-flight
-  /// requests keep the version they resolved at submit. Throws ls::Error
-  /// on unreadable/corrupt files — the previously served version (if any)
-  /// stays live, so a bad reload never takes a model down.
+  /// CRC-verified model file, runs the load-time layout decision, and
+  /// atomically swaps the registry entry. In-flight requests keep the
+  /// version they resolved at submit. Throws ls::Error on unreadable or
+  /// corrupt files — the previously served version (if any) stays live,
+  /// so a bad reload never takes a model down.
   void load_model(const std::string& name, const std::string& path);
 
   /// Reloads `name` from the path it was originally loaded from. On

@@ -1,7 +1,7 @@
 // Online layout re-scheduling for the serving engine — the paper's
 // runtime-scheduling claim closed into a loop over live traffic.
 //
-// The load-time layout decision (DeploymentHint + scheduler probe) is made
+// The load-time layout decision (a batched scheduler probe) is made
 // once, against probe matrices, before a single real request has arrived.
 // This module revisits it continuously: the engine reports every batch it
 // scores (model, layout, rows, seconds) through observe(), a background
@@ -68,7 +68,7 @@ struct ReschedulerOptions {
   /// UCB1 exploration weight c: the bonus is c * prior_scale *
   /// sqrt(ln(total_pulls) / arm_pulls). 0 = pure exploitation.
   double ucb_exploration = 0.25;
-  /// Candidate arms: the paper's five basic formats, or all eight.
+  /// Candidate arms: the paper's five basic formats, or all seven.
   bool include_extended = false;
 };
 

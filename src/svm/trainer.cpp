@@ -1,13 +1,9 @@
 #include "svm/trainer.hpp"
 
-#include <numeric>
-
 #include "common/error.hpp"
 #include "common/metrics.hpp"
-#include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
-#include "svm/batch_predict.hpp"
 #include "svm/checkpoint.hpp"
 #include "svm/kernel_engine.hpp"
 #include "svm/reschedule.hpp"
@@ -156,44 +152,6 @@ TrainResult train_reschedulable(const Dataset& ds, const SvmParams& params,
     metrics::gauge_set("svm.cache.hit_rate", cache.hit_rate());
   }
   return result;
-}
-
-double cross_validate(const Dataset& ds, const SvmParams& params, int folds,
-                      std::uint64_t seed) {
-  ds.validate();
-  LS_CHECK(folds >= 2, "cross validation needs at least 2 folds");
-  LS_CHECK(ds.rows() >= folds, "fewer samples than folds");
-
-  std::vector<index_t> ids(static_cast<std::size_t>(ds.rows()));
-  std::iota(ids.begin(), ids.end(), index_t{0});
-  Rng rng(seed);
-  shuffle(ids.begin(), ids.end(), rng);
-
-  double weighted_accuracy = 0.0;
-  for (int fold = 0; fold < folds; ++fold) {
-    std::vector<index_t> train_ids, test_ids;
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      if (static_cast<int>(k % static_cast<std::size_t>(folds)) == fold) {
-        test_ids.push_back(ids[k]);
-      } else {
-        train_ids.push_back(ids[k]);
-      }
-    }
-    const Dataset train = ds.subset(train_ids, ".cv_train");
-    const Dataset test = ds.subset(test_ids, ".cv_test");
-    const TrainResult result = train_adaptive(train, params);
-    // Score the fold block-wise (one batched SMSV per block of test rows)
-    // instead of per-row merge joins. A model with no support vectors
-    // cannot build an SV matrix — fall back to the per-row path.
-    double fold_accuracy;
-    if (result.model.support_vectors.empty()) {
-      fold_accuracy = result.model.accuracy(test);
-    } else {
-      fold_accuracy = BatchPredictor(result.model).accuracy(test);
-    }
-    weighted_accuracy += fold_accuracy * static_cast<double>(test_ids.size());
-  }
-  return weighted_accuracy / static_cast<double>(ds.rows());
 }
 
 }  // namespace ls

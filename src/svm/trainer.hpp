@@ -1,6 +1,7 @@
 // High-level training entry points: the adaptive trainer (layout scheduling
-// + SMSV kernel engine) and the LIBSVM-style baseline, plus k-fold cross
-// validation. This is the facade the examples and benches call.
+// + SMSV kernel engine), the fixed-format and LIBSVM-style baselines and
+// the mid-run rescheduling trainer. This is the facade the examples and
+// benches call.
 #pragma once
 
 #include <string>
@@ -44,9 +45,5 @@ struct RescheduleOptions;  // svm/reschedule.hpp
 TrainResult train_reschedulable(const Dataset& ds, const SvmParams& params,
                                 Format initial,
                                 const RescheduleOptions& reschedule);
-
-/// k-fold cross-validation accuracy of the adaptive trainer.
-double cross_validate(const Dataset& ds, const SvmParams& params, int folds,
-                      std::uint64_t seed = 1234);
 
 }  // namespace ls

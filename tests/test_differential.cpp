@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -425,9 +424,8 @@ TEST(CrossIsa, BatchKernelLanesBitIdenticalToSingleAtEveryLevel) {
 }
 
 TEST(CrossIsa, StripKernelsMatchScalarAtEveryLevel) {
-  // gather_axpy (ELL/HYB strips) and gather_scatter_axpy (JDS strips),
-  // single and batched, against the scalar table. The scatter variant gets
-  // a permutation for rows (its documented precondition).
+  // gather_axpy (ELL/HYB strips), single and batched, against the scalar
+  // table.
   Rng rng(0x51D3ull);
   constexpr index_t kLen = 67;  // odd: remainder lanes at every width
   AlignedBuffer<real_t> v(kLen);
@@ -436,47 +434,34 @@ TEST(CrossIsa, StripKernelsMatchScalarAtEveryLevel) {
   for (auto& idx : c) idx = rng.uniform_int(0, 40);
   AlignedBuffer<real_t> w(41);
   fill_values(w, rng);
-  std::vector<index_t> rows(kLen);
-  std::iota(rows.begin(), rows.end(), index_t{0});
-  shuffle(rows.begin(), rows.end(), rng);
 
   auto run_level = [&](simd::SimdLevel level, index_t len, index_t b,
                        std::vector<real_t>& y_axpy,
-                       std::vector<real_t>& y_scatter,
-                       std::vector<real_t>& yb_axpy,
-                       std::vector<real_t>& yb_scatter) {
+                       std::vector<real_t>& yb_axpy) {
     simd::ScopedSimdLevel guard(level);
     const simd::KernelTable& kt = simd::kernels();
     y_axpy.assign(static_cast<std::size_t>(kLen), 0.25);
     kt.gather_axpy(v.data(), c.data(), len, w.data(), y_axpy.data());
-    y_scatter.assign(static_cast<std::size_t>(kLen), -0.5);
-    kt.gather_scatter_axpy(v.data(), c.data(), rows.data(), len, w.data(),
-                           y_scatter.data());
     AlignedBuffer<real_t> wblock(41 * static_cast<std::size_t>(b));
     Rng wrng(0xB10Cull);  // same block at every level
     fill_values(wblock, wrng);
     yb_axpy.assign(static_cast<std::size_t>(kLen * b), 0.125);
     kt.gather_axpy_batch(v.data(), c.data(), len, wblock.data(), b,
                          yb_axpy.data());
-    yb_scatter.assign(static_cast<std::size_t>(kLen * b), 1.5);
-    kt.gather_scatter_axpy_batch(v.data(), c.data(), rows.data(), len,
-                                 wblock.data(), b, yb_scatter.data());
   };
 
   for (index_t len : {index_t{0}, index_t{1}, index_t{2}, index_t{3},
                       index_t{8}, index_t{9}, kLen}) {
     for (index_t b : {index_t{1}, index_t{3}, index_t{8}, index_t{13}}) {
-      std::vector<real_t> sa, ss, sba, sbs;
-      run_level(simd::SimdLevel::kScalar, len, b, sa, ss, sba, sbs);
+      std::vector<real_t> sa, sba;
+      run_level(simd::SimdLevel::kScalar, len, b, sa, sba);
       for (simd::SimdLevel level : supported_levels()) {
         SCOPED_TRACE(std::string(simd::level_name(level)) + " len=" +
                      std::to_string(len) + " b=" + std::to_string(b));
-        std::vector<real_t> la, ls, lba, lbs;
-        run_level(level, len, b, la, ls, lba, lbs);
+        std::vector<real_t> la, lba;
+        run_level(level, len, b, la, lba);
         test::expect_ulp_near(la, sa);
-        test::expect_ulp_near(ls, ss);
         test::expect_ulp_near(lba, sba);
-        test::expect_ulp_near(lbs, sbs);
       }
     }
   }
@@ -528,8 +513,8 @@ TEST(CrossIsa, FormatBatchLanesBitIdenticalAtEveryLevel) {
   for (simd::SimdLevel level : supported_levels()) {
     simd::ScopedSimdLevel guard(level);
     SCOPED_TRACE(std::string(simd::level_name(level)));
-    for (Format f : {Format::kDEN, Format::kCSR, Format::kELL, Format::kJDS,
-                     Format::kHYB}) {
+    for (Format f :
+         {Format::kDEN, Format::kCSR, Format::kELL, Format::kHYB}) {
       SCOPED_TRACE(std::string(format_name(f)));
       const AnyMatrix mat = AnyMatrix::from_coo(coo, f);
       for (index_t b_rows : {index_t{1}, index_t{2}, index_t{3}, index_t{4},

@@ -1,6 +1,5 @@
-// Tests for the extension modules: model serialization, the
-// divide-and-conquer distributed SVM, the LRN layer, and the extended-format
-// autotuner path.
+// Tests for the extension modules: model serialization, the LRN layer, and
+// the extended-format autotuner path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,8 +8,8 @@
 #include "data/profiles.hpp"
 #include "data/synthetic.hpp"
 #include "dnn/net.hpp"
-#include "svm/dcsvm.hpp"
 #include "svm/serialize.hpp"
+#include "svm/trainer.hpp"
 #include "test_util.hpp"
 
 namespace ls {
@@ -118,79 +117,6 @@ TEST(Serialize, FileRoundTrip) {
   EXPECT_THROW(load_model_file(path), Error);
 }
 
-// ------------------------------------------------------------- DC-SVM
-
-Dataset planted_dataset(index_t rows, index_t cols, std::uint64_t seed) {
-  Rng rng(seed);
-  Dataset ds;
-  ds.name = "dc";
-  ds.X = test::random_matrix(rows, cols, 0.3, rng);
-  ds.y = plant_labels(ds.X, 0.05, seed ^ 0xF00);
-  return ds;
-}
-
-class DcSvmStrategies : public ::testing::TestWithParam<PartitionStrategy> {};
-
-TEST_P(DcSvmStrategies, TrainsAndPredictsAboveChance) {
-  const Dataset ds = planted_dataset(240, 16, 81);
-  const auto [train, test] = ds.split(0.8, 4);
-
-  DcSvmOptions options;
-  options.partitions = 4;
-  options.strategy = GetParam();
-  options.sched.policy = SchedulePolicy::kHeuristic;
-  const DcSvmResult r = train_dc_svm(train, options);
-
-  EXPECT_EQ(r.model.locals.size(), 4u);
-  EXPECT_EQ(r.model.centroids.size(), 4u);
-  EXPECT_EQ(r.partition_formats.size(), 4u);
-  index_t total = 0;
-  for (index_t s : r.partition_sizes) total += s;
-  EXPECT_EQ(total, train.rows());
-  // Critical path (P nodes) never exceeds the serial sum (1 node).
-  EXPECT_LE(r.critical_seconds, r.total_seconds + 1e-12);
-  EXPECT_GT(r.model.accuracy(test), 0.6);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Both, DcSvmStrategies,
-    ::testing::Values(PartitionStrategy::kRandom, PartitionStrategy::kCluster),
-    [](const auto& info) {
-      return info.param == PartitionStrategy::kRandom ? "random" : "cluster";
-    });
-
-TEST(DcSvm, SinglePartitionMatchesPlainTraining) {
-  const Dataset ds = planted_dataset(120, 10, 82);
-  DcSvmOptions options;
-  options.partitions = 1;
-  options.strategy = PartitionStrategy::kRandom;
-  options.sched.policy = SchedulePolicy::kHeuristic;
-  const DcSvmResult r = train_dc_svm(ds, options);
-
-  const TrainResult plain = train_adaptive(ds, options.params, options.sched);
-  // One partition containing everything: same problem, same accuracy.
-  EXPECT_NEAR(r.model.accuracy(ds), plain.model.accuracy(ds), 0.02);
-}
-
-TEST(DcSvm, RoutingPicksNearestCentroid) {
-  DcSvmModel model;
-  model.centroids = {{0.0, 0.0}, {10.0, 10.0}};
-  model.locals.resize(2);
-  SparseVector near_first({0}, {1.0});
-  SparseVector near_second({0, 1}, {9.0, 9.0});
-  EXPECT_EQ(model.route(near_first), 0);
-  EXPECT_EQ(model.route(near_second), 1);
-}
-
-TEST(DcSvm, RejectsDegenerateConfigs) {
-  const Dataset ds = planted_dataset(10, 4, 83);
-  DcSvmOptions options;
-  options.partitions = 0;
-  EXPECT_THROW(train_dc_svm(ds, options), Error);
-  options.partitions = 11;  // more partitions than samples
-  EXPECT_THROW(train_dc_svm(ds, options), Error);
-}
-
 // ----------------------------------------------------------------- LRN
 
 TEST(Lrn, ForwardMatchesHandComputation) {
@@ -268,8 +194,8 @@ TEST(ExtendedFormats, AutotunerScoresEveryDerivedFormat) {
   opts.include_extended = true;
   opts.sample_rows = 0;
   // Block-structured matrix: dense 4x4 tiles along the diagonal. Every row
-  // has the same length, so the ELL-style slabs of HYB and JDS carry no
-  // padding and all three derived formats stay admissible.
+  // has the same length, so HYB's ELL-style slab carries no padding and
+  // both derived formats stay admissible.
   std::vector<Triplet> t;
   for (index_t b = 0; b < 128; ++b) {
     for (index_t r = 0; r < 4; ++r) {
@@ -280,7 +206,7 @@ TEST(ExtendedFormats, AutotunerScoresEveryDerivedFormat) {
   }
   const CooMatrix coo(512, 512, std::move(t));
   const ScheduleDecision d = EmpiricalAutotuner(opts).choose(coo);
-  for (Format f : {Format::kCSC, Format::kHYB, Format::kJDS}) {
+  for (Format f : {Format::kCSC, Format::kHYB}) {
     EXPECT_TRUE(std::isfinite(d.score_of(f))) << format_name(f);
   }
   // The pick must be the measured argmin over the extended set.
@@ -297,7 +223,7 @@ TEST(ExtendedFormats, BasicPolicyIgnoresDerivedFormats) {
   AutotuneOptions opts;
   opts.sample_rows = 0;  // include_extended defaults to false
   const ScheduleDecision d = EmpiricalAutotuner(opts).choose(coo);
-  for (Format f : {Format::kCSC, Format::kHYB, Format::kJDS}) {
+  for (Format f : {Format::kCSC, Format::kHYB}) {
     EXPECT_FALSE(std::isfinite(d.score_of(f))) << format_name(f);
   }
 }

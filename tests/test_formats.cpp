@@ -184,35 +184,6 @@ TEST(Hyb, SingleLongRowNoLongerInflatesStorage) {
   EXPECT_LT(hyb.stored_elements(), 3 * coo.nnz());  // ~nnz, not M * mdim
 }
 
-TEST(Jds, JaggedDiagonalStructure) {
-  // Rows lengths {3, 1, 2}: sorted order is row0, row2, row1.
-  CooMatrix coo(3, 5,
-                {{0, 0, 1.0}, {0, 2, 2.0}, {0, 4, 3.0}, {1, 1, 4.0},
-                 {2, 0, 5.0}, {2, 3, 6.0}});
-  JdsMatrix jds(coo);
-  EXPECT_EQ(jds.num_jagged(), 3);
-  EXPECT_EQ(jds.nnz(), 6);
-  const auto perm = jds.permutation();
-  EXPECT_EQ(perm[0], 0);
-  EXPECT_EQ(perm[1], 2);
-  EXPECT_EQ(perm[2], 1);
-  // Gather rebuilds each row correctly through the permutation.
-  SparseVector row;
-  jds.gather_row(2, row);
-  ASSERT_EQ(row.nnz(), 2);
-  EXPECT_EQ(row.indices()[1], 3);
-  EXPECT_EQ(row.values()[1], 6.0);
-}
-
-TEST(Jds, NoPaddingEverStored) {
-  Rng rng(0x1D5);
-  // Highly skewed rows: JDS stores exactly nnz values regardless.
-  const CooMatrix coo = make_vdim_spread(128, 512, 2048, 2, 0.6, rng);
-  JdsMatrix jds(coo);
-  EXPECT_EQ(jds.stored_elements(), coo.nnz());
-  EXPECT_EQ(jds.work_flops(), coo.nnz());
-}
-
 TEST(AnyMatrix, FormatTagMatchesConstruction) {
   CooMatrix coo(2, 2, {{0, 0, 1.0}});
   for (Format f : kAllFormats) {
@@ -373,9 +344,6 @@ TEST_P(StorageAccounting, MeasuredBytesMatchFormula) {
   if (GetParam() == Format::kHYB) {
     s.hyb_width = mat.as<HybMatrix>().ell_width();
     s.hyb_overflow = mat.as<HybMatrix>().overflow_nnz();
-  }
-  if (GetParam() == Format::kJDS) {
-    s.mdim = mat.as<JdsMatrix>().num_jagged();  // = mdim of the matrix
   }
   const index_t words = storage_words(GetParam(), s);
   EXPECT_EQ(mat.storage_bytes(), static_cast<std::size_t>(words) * 8u);

@@ -5,8 +5,7 @@
 // OMP_NUM_THREADS. The primitives that make that possible are
 // parallel_reduce / parallel_reduce_blocks (chunk-ordered folds, the
 // latter carrying the SMO working-set scans above their serial cutoff)
-// and parallel_argmax (first-max-wins merge), plus elementwise
-// parallel_for updates. The SMO scans must also give the same model at
+// plus elementwise parallel_for updates. The SMO scans must also give the same model at
 // every SIMD level. The empirical autotuner is exempt by design — it races
 // wall-clock timings — so the invariance tests pin the heuristic policy.
 #include <gtest/gtest.h>
@@ -77,55 +76,6 @@ TEST(Invariance, ParallelReduceSerialBelowThreshold) {
         [](real_t a, real_t b) { return a + b; });
   });
   EXPECT_EQ(folded, serial);
-}
-
-TEST(Invariance, ParallelArgmaxMatchesSerialScan) {
-  const index_t n = 9000;
-  Rng rng(0x43u);
-  std::vector<real_t> v(static_cast<std::size_t>(n));
-  for (auto& x : v) x = rng.uniform(-5.0, 5.0);
-  index_t serial = -1;
-  real_t best = -std::numeric_limits<real_t>::infinity();
-  for (index_t i = 0; i < n; ++i) {
-    if (v[static_cast<std::size_t>(i)] > best) {
-      best = v[static_cast<std::size_t>(i)];
-      serial = i;
-    }
-  }
-  for (int t : thread_counts()) {
-    const index_t got = with_threads(t, [&] {
-      return parallel_argmax(
-          n, [&](index_t i) { return v[static_cast<std::size_t>(i)]; });
-    });
-    EXPECT_EQ(got, serial) << "threads=" << t;
-  }
-}
-
-TEST(Invariance, ParallelArgmaxTieBreaksToLowestIndex) {
-  const index_t n = 8192;
-  std::vector<real_t> v(static_cast<std::size_t>(n), 0.0);
-  // The same maximal value planted in several chunks: the first index must
-  // win no matter how the range was split.
-  v[137] = v[4099] = v[8000] = 7.5;
-  for (int t : thread_counts()) {
-    const index_t got = with_threads(t, [&] {
-      return parallel_argmax(
-          n, [&](index_t i) { return v[static_cast<std::size_t>(i)]; });
-    });
-    EXPECT_EQ(got, 137) << "threads=" << t;
-  }
-}
-
-TEST(Invariance, ParallelArgmaxFloorAndEmpty) {
-  EXPECT_EQ(parallel_argmax(0, [](index_t) { return 1.0; }), -1);
-  // No score above the floor -> -1, at any thread count.
-  const index_t n = 5000;
-  for (int t : {1, 4}) {
-    const index_t got = with_threads(t, [&] {
-      return parallel_argmax(n, [](index_t) { return -1.0; }, 0.0);
-    });
-    EXPECT_EQ(got, -1) << "threads=" << t;
-  }
 }
 
 TEST(Invariance, BatchKernelThreadInvariant) {

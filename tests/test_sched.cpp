@@ -201,7 +201,7 @@ TEST(Scheduler, RemovedPolicyAndFormatNamesAreRejected) {
     FAIL() << "parse_format accepted 'BCSR'";
   } catch (const Error& e) {
     EXPECT_STREQ(e.what(), "unknown format name: 'BCSR' (expected DEN, CSR, "
-                           "COO, ELL, DIA, CSC, HYB or JDS)");
+                           "COO, ELL, DIA, CSC or HYB)");
   }
 }
 

@@ -147,17 +147,9 @@ TEST(SimdFuzz, RawKernelsAgreeAcrossLevelsOnRandomShapes) {
     AlignedBuffer<real_t> wb(static_cast<std::size_t>(kWorkspace) *
                              static_cast<std::size_t>(b));
     for (auto& x : wb) x = rng.uniform(-1.0, 1.0);
-    // gather_scatter_axpy requires pairwise-distinct rows: a shuffled
-    // prefix of 0..len-1 scattered over a y of size kMaxLen.
-    std::vector<index_t> rows(static_cast<std::size_t>(kMaxLen) + 8);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      rows[i] = static_cast<index_t>(i);
-    }
-    shuffle(rows.begin(), rows.end(), rng);
 
     real_t dot_s = 0.0, sdot_s = 0.0;
     std::vector<real_t> ax_s(static_cast<std::size_t>(kMaxLen) + 8, 0.5);
-    std::vector<real_t> sc_s(ax_s.size(), -1.0);
     std::vector<real_t> bdot_s(static_cast<std::size_t>(b));
     {
       simd::ScopedSimdLevel guard(SimdLevel::kScalar);
@@ -165,8 +157,6 @@ TEST(SimdFuzz, RawKernelsAgreeAcrossLevelsOnRandomShapes) {
       dot_s = kt.dense_row_dot(v.data() + off, w.data() + off % 2, n);
       sdot_s = kt.sparse_row_dot(v.data() + off, c.data() + off, n, w.data());
       kt.gather_axpy(v.data() + off, c.data() + off, n, w.data(), ax_s.data());
-      kt.gather_scatter_axpy(v.data() + off, c.data() + off, rows.data(), n,
-                             w.data(), sc_s.data());
       kt.sparse_row_batch(v.data() + off, c.data() + off, n, wb.data(), b,
                           bdot_s.data());
     }
@@ -184,10 +174,6 @@ TEST(SimdFuzz, RawKernelsAgreeAcrossLevelsOnRandomShapes) {
       std::vector<real_t> ax(ax_s.size(), 0.5);
       kt.gather_axpy(v.data() + off, c.data() + off, n, w.data(), ax.data());
       test::expect_ulp_near(ax, ax_s);
-      std::vector<real_t> sc(sc_s.size(), -1.0);
-      kt.gather_scatter_axpy(v.data() + off, c.data() + off, rows.data(), n,
-                             w.data(), sc.data());
-      test::expect_ulp_near(sc, sc_s);
       std::vector<real_t> bdot(static_cast<std::size_t>(b));
       kt.sparse_row_batch(v.data() + off, c.data() + off, n, wb.data(), b,
                           bdot.data());

@@ -1,6 +1,6 @@
 // Stress and failure-injection tests: adversarial matrix structures
-// through every format, degenerate solver inputs, the grid search, and the
-// upgraded SGD options (weight decay, LR schedule).
+// through every format, degenerate solver inputs, and the upgraded SGD
+// options (weight decay, LR schedule).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 #include "data/scaling.hpp"
 #include "dnn/net.hpp"
 #include "dnn/trainer.hpp"
-#include "svm/grid_search.hpp"
 #include "svm/trainer.hpp"
 #include "test_util.hpp"
 
@@ -178,59 +177,6 @@ TEST(DegenerateSvm, SingleFeatureDataset) {
   const TrainResult r = train_fixed_format(ds, params, Format::kDIA);
   EXPECT_TRUE(r.stats.converged);
   EXPECT_DOUBLE_EQ(r.model.accuracy(ds), 1.0);
-}
-
-// ------------------------------------------------------- grid search
-
-TEST(GridSearch, FindsAWorkingRegionOnPlantedData) {
-  Rng rng(0x6d);
-  Dataset ds;
-  ds.name = "grid";
-  ds.X = test::random_matrix(90, 10, 0.4, rng);
-  ds.y = plant_labels(ds.X, 0.05, 30);
-
-  SvmParams base;  // linear: gamma grid collapses to one point
-  GridSearchOptions options;
-  options.c_values = {0.01, 1.0, 100.0};
-  options.folds = 3;
-  const GridSearchResult r = grid_search(ds, base, options);
-  EXPECT_EQ(r.evaluated.size(), 3u);
-  EXPECT_GT(r.best_accuracy, 0.6);
-  // The best accuracy must be the max over evaluated points.
-  for (const GridPoint& p : r.evaluated) {
-    EXPECT_LE(p.cv_accuracy, r.best_accuracy + 1e-12);
-  }
-}
-
-TEST(GridSearch, GaussianKernelSearchesGammaToo) {
-  Rng rng(0x6e);
-  Dataset ds;
-  ds.name = "grid_rbf";
-  ds.X = test::random_matrix(60, 6, 0.5, rng);
-  ds.y = plant_labels(ds.X, 0.05, 31);
-  SvmParams base;
-  base.kernel.type = KernelType::kGaussian;
-  GridSearchOptions options;
-  options.c_values = {1.0, 10.0};
-  options.gamma_values = {0.1, 1.0};
-  const GridSearchResult r = grid_search(ds, base, options);
-  EXPECT_EQ(r.evaluated.size(), 4u);
-  EXPECT_EQ(r.best_params.kernel.type, KernelType::kGaussian);
-}
-
-TEST(GridSearch, RejectsEmptyGridsAndBadFolds) {
-  Rng rng(0x6f);
-  Dataset ds;
-  ds.name = "bad";
-  ds.X = test::random_matrix(20, 4, 0.5, rng);
-  ds.y = plant_labels(ds.X, 0.0, 32);
-  SvmParams base;
-  GridSearchOptions options;
-  options.c_values = {};
-  EXPECT_THROW(grid_search(ds, base, options), Error);
-  options.c_values = {1.0};
-  options.folds = 1;
-  EXPECT_THROW(grid_search(ds, base, options), Error);
 }
 
 // ---------------------------------------------------- class weights

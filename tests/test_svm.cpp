@@ -451,18 +451,6 @@ TEST(Trainer, BaselineAndAdaptiveAgreeOnAccuracy) {
   EXPECT_NEAR(ours.model.accuracy(ds), libsvm.model.accuracy(ds), 0.03);
 }
 
-TEST(Trainer, CrossValidationReturnsSensibleAccuracy) {
-  Rng rng(43);
-  Dataset ds;
-  ds.name = "cv";
-  ds.X = test::random_matrix(100, 10, 0.4, rng);
-  ds.y = plant_labels(ds.X, 0.05, 16);
-  SvmParams params;
-  const double acc = cross_validate(ds, params, 4);
-  EXPECT_GT(acc, 0.6);
-  EXPECT_LE(acc, 1.0);
-}
-
 TEST(Multiclass, OneVsOneSeparatesThreeBlobs) {
   // Three well-separated 2-D blobs.
   Rng rng(44);
