@@ -49,15 +49,17 @@ class AlignedBuffer {
     std::fill(begin(), end(), fill);
   }
 
+  // memcpy with a null pointer is undefined even for zero bytes, and an
+  // empty buffer holds null: copy only when there is something to copy.
   AlignedBuffer(const AlignedBuffer& other) {
     resize(other.size_);
-    std::memcpy(data_, other.data_, size_ * sizeof(T));
+    if (size_ != 0) std::memcpy(data_, other.data_, size_ * sizeof(T));
   }
 
   AlignedBuffer& operator=(const AlignedBuffer& other) {
     if (this != &other) {
       resize(other.size_);
-      std::memcpy(data_, other.data_, size_ * sizeof(T));
+      if (size_ != 0) std::memcpy(data_, other.data_, size_ * sizeof(T));
     }
     return *this;
   }

@@ -21,6 +21,13 @@ namespace ls {
 
 namespace {
 
+/// Timed SMSV repetitions per autotune candidate.
+constexpr int kAutotuneTrials = 3;
+/// The autotuner skips candidates whose modelled storage exceeds this
+/// multiple of the matrix's CSR storage (avoids materialising absurd
+/// layouts).
+constexpr double kAutotuneMaxStorageRatio = 64.0;
+
 /// Storage words each format would need, from features alone.
 double modeled_storage_words(Format f, const MatrixFeatures& feat) {
   StorageShape s;
@@ -140,7 +147,7 @@ ScheduleDecision EmpiricalAutotuner::choose(const CooMatrix& x) const {
                              : std::span<const Format>(kAllFormats);
   for (Format f : candidates) {
     const std::string fname(format_name(f));
-    if (!storage_admissible(f, feat, opts_.max_storage_ratio)) continue;
+    if (!storage_admissible(f, feat, kAutotuneMaxStorageRatio)) continue;
     if (opts_.candidate_bytes_budget > 0) {
       const double bytes = modeled_storage_words(f, feat) *
                            static_cast<double>(kRealBytes);
@@ -151,37 +158,29 @@ ScheduleDecision EmpiricalAutotuner::choose(const CooMatrix& x) const {
         continue;
       }
     }
-    // One failed candidate must not abort the race: a build that throws,
-    // runs out of memory, or busts its wall-clock budget is dropped and
-    // the remaining candidates keep competing.
+    // One failed candidate must not abort the race: a build that throws
+    // or runs out of memory is dropped and the remaining candidates keep
+    // competing.
     trace::ScopedEvent probe_span("probe:" + fname, "sched");
     try {
       LS_FAILPOINT("sched.candidate.materialize");
       Timer candidate_timer;
       const AnyMatrix mat = AnyMatrix::from_coo(*probe, f);
-      const double secs =
-          time_best([&] { mat.multiply_dense(w, y); }, opts_.trials, 0.002) *
-          scale;
+      const double secs = time_best([&] { mat.multiply_dense(w, y); },
+                                    kAutotuneTrials, 0.002) *
+                          scale;
       double batch_secs = std::numeric_limits<double>::infinity();
       if (batch_rows > 1) {
         // Per-row batched score: time the whole block, divide by b.
         batch_secs = time_best([&] { mat.multiply_dense_batch(
                                    wb, batch_rows, yb); },
-                               opts_.trials, 0.002) *
+                               kAutotuneTrials, 0.002) *
                      scale / static_cast<double>(batch_rows);
         probe_span.arg("batch_score_seconds", std::to_string(batch_secs));
       }
       metrics::timer_record("sched.probe_seconds." + fname,
                             candidate_timer.seconds());
       probe_span.arg("score_seconds", std::to_string(secs));
-      if (opts_.candidate_seconds_budget > 0 &&
-          candidate_timer.seconds() > opts_.candidate_seconds_budget) {
-        d.dropped.push_back(fname + ": busted " +
-                            std::to_string(opts_.candidate_seconds_budget) +
-                            " s candidate budget");
-        metrics::counter_add("sched.candidates_dropped_total");
-        continue;
-      }
       d.score_seconds[static_cast<std::size_t>(f)] = secs;
       d.batch_score_seconds[static_cast<std::size_t>(f)] = batch_secs;
       const double race_score = batch_rows > 1 ? batch_secs : secs;

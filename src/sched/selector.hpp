@@ -78,18 +78,9 @@ struct AutotuneOptions {
   /// contiguous row window preserves the diagonal / row-length structure
   /// that drives DIA and ELL costs.
   index_t sample_rows = 2048;
-  /// Timed SMSV repetitions per candidate.
-  int trials = 3;
-  /// Skip candidates whose modelled storage exceeds this multiple of the
-  /// matrix's CSR storage (avoids materialising absurd layouts).
-  double max_storage_ratio = 64.0;
   /// Also consider the derived formats (CSC, HYB) beyond the paper's
   /// five basic formats.
   bool include_extended = false;
-  /// Per-candidate wall-clock budget in seconds (0 = unlimited). A
-  /// candidate whose build + probe time busts the budget is dropped from
-  /// the race instead of aborting the whole autotune.
-  double candidate_seconds_budget = 0.0;
   /// Per-candidate modelled storage budget in bytes (0 = unlimited);
   /// candidates above it are dropped before any allocation happens.
   std::size_t candidate_bytes_budget = 0;

@@ -10,7 +10,6 @@
 #include "common/trace.hpp"
 #include "data/features.hpp"
 #include "sched/cost_model.hpp"
-#include "svm/reschedule.hpp"
 
 namespace ls::serve {
 
@@ -30,6 +29,13 @@ std::vector<Format> rescheduler_arms(const ReschedulerOptions& opts) {
     return {kExtendedFormats.begin(), kExtendedFormats.end()};
   }
   return {kAllFormats.begin(), kAllFormats.end()};
+}
+
+bool decisively_better(double current_score, double best_score,
+                       double switch_threshold) {
+  return std::isfinite(best_score) &&
+         (!std::isfinite(current_score) ||
+          current_score >= switch_threshold * best_score);
 }
 
 LayoutRescheduler::LayoutRescheduler(ModelRegistry& registry,

@@ -17,10 +17,10 @@
 //   bandit           UCB1 for minimisation: value - c * scale * sqrt(
 //                    ln(total)/pulls); the exploration bonus shrinks as an
 //                    arm accumulates pulls
-//   switch gate      decisively_better() (shared with svm/reschedule) +
-//                    dwell-time hysteresis + a per-model max-switch budget,
-//                    so near-ties never flap and a pathological workload
-//                    cannot make the engine re-materialise forever
+//   switch gate      decisively_better() + dwell-time hysteresis + a
+//                    per-model max-switch budget, so near-ties never flap
+//                    and a pathological workload cannot make the engine
+//                    re-materialise forever
 //   swap             LoadedModel re-materialisation ctor + ModelRegistry::
 //                    replace_if_current — a swap loses (and is dropped) if
 //                    a hot reload shipped new content meanwhile
@@ -48,7 +48,7 @@
 
 namespace ls::serve {
 
-/// Policy knobs, mirroring the training-side RescheduleOptions.
+/// Policy knobs.
 struct ReschedulerOptions {
   /// Master switch; a disabled rescheduler is never constructed.
   bool enabled = false;
@@ -204,5 +204,15 @@ class LayoutRescheduler {
 
 /// The candidate arm set under `opts`.
 std::vector<Format> rescheduler_arms(const ReschedulerOptions& opts);
+
+/// The bandit's switch gate: switch only when the measured/estimated best
+/// is decisively better than the current format. An infinite or NaN
+/// current score means the current format would not even be considered
+/// (storage-inadmissible or never measured against a finite alternative)
+/// — the strongest possible signal to switch; a non-finite best is never
+/// worth switching to. Otherwise require the configured multiplicative
+/// margin, which is the hysteresis that keeps near-ties from flapping.
+bool decisively_better(double current_score, double best_score,
+                       double switch_threshold);
 
 }  // namespace ls::serve

@@ -6,7 +6,6 @@
 #include "common/trace.hpp"
 #include "svm/checkpoint.hpp"
 #include "svm/kernel_engine.hpp"
-#include "svm/reschedule.hpp"
 
 namespace ls {
 
@@ -114,44 +113,6 @@ TrainResult train_libsvm_baseline(const Dataset& ds, const SvmParams& params) {
   LibsvmKernelEngine engine(ds.X, params.kernel);
   return run_solver(x, ds, params, engine, std::move(decision),
                     schedule_seconds);
-}
-
-TrainResult train_reschedulable(const Dataset& ds, const SvmParams& params,
-                                Format initial,
-                                const RescheduleOptions& reschedule) {
-  ds.validate();
-  Timer solve_timer;
-  ReschedulingKernelEngine engine(ds.X, params.kernel, initial, reschedule);
-  KernelCache cache(engine, params.cache_bytes);
-  SmoSolver solver(cache, ds.y, params);
-  SolveStats stats = solver.solve();
-  stats.kernel_rows_computed = engine.rows_computed();
-
-  // Model extraction needs a matrix view; use the engine's final layout.
-  const AnyMatrix x = AnyMatrix::from_coo(ds.X, engine.current_format());
-
-  TrainResult result;
-  result.model =
-      build_model(x, ds.y, solver.alpha(), solver.rho(), params.kernel);
-  result.stats = stats;
-  result.decision.format = engine.current_format();
-  result.decision.rationale =
-      "runtime rescheduling: started " + std::string(format_name(initial)) +
-      ", finished " + std::string(format_name(engine.current_format())) +
-      " (" + std::to_string(engine.switches()) + " re-evaluation(s))";
-  result.solve_seconds = solve_timer.seconds();
-  result.total_seconds = result.solve_seconds;
-
-  record_decision_metrics(result.decision);
-  if (metrics::enabled()) {
-    metrics::timer_record("svm.train.total_seconds", result.total_seconds);
-    metrics::counter_add("svm.cache.hits_total", cache.hits());
-    metrics::counter_add("svm.cache.misses_total", cache.misses());
-    metrics::counter_add("svm.kernel_rows_computed_total",
-                         stats.kernel_rows_computed);
-    metrics::gauge_set("svm.cache.hit_rate", cache.hit_rate());
-  }
-  return result;
 }
 
 }  // namespace ls

@@ -1,7 +1,6 @@
 // High-level training entry points: the adaptive trainer (layout scheduling
-// + SMSV kernel engine), the fixed-format and LIBSVM-style baselines and
-// the mid-run rescheduling trainer. This is the facade the examples and
-// benches call.
+// + SMSV kernel engine) and the fixed-format and LIBSVM-style baselines.
+// This is the facade the examples and benches call.
 #pragma once
 
 #include <string>
@@ -36,14 +35,5 @@ TrainResult train_fixed_format(const Dataset& ds, const SvmParams& params,
 /// Trains with the LIBSVM-equivalent engine: fixed CSR, per-pair merge-join
 /// dot products, second-order WSS (the Fig. 7 baseline).
 TrainResult train_libsvm_baseline(const Dataset& ds, const SvmParams& params);
-
-/// Trains with mid-run layout re-scheduling: starts from `initial` and lets
-/// the ReschedulingKernelEngine switch formats once training exposes the
-/// real access costs (see svm/reschedule.hpp). The decision recorded in the
-/// result reflects the *final* format.
-struct RescheduleOptions;  // svm/reschedule.hpp
-TrainResult train_reschedulable(const Dataset& ds, const SvmParams& params,
-                                Format initial,
-                                const RescheduleOptions& reschedule);
 
 }  // namespace ls

@@ -38,6 +38,15 @@ TEST(AlignedBuffer, CopyPreservesContents) {
   // Deep copy: mutating the copy leaves the original alone.
   b[3] = -1;
   EXPECT_EQ(a[3], 9);
+  // An empty source copies to an empty buffer, by construction and by
+  // assignment over a non-empty one.
+  const AlignedBuffer<int> empty;
+  const AlignedBuffer<int> c = empty;
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_EQ(c.data(), nullptr);
+  b = empty;
+  EXPECT_EQ(b.size(), 0u);
+  EXPECT_EQ(b.data(), nullptr);
 }
 
 TEST(AlignedBuffer, MoveTransfersOwnership) {

@@ -19,7 +19,6 @@
 #include "sched/cost_model.hpp"
 #include "serve/engine.hpp"
 #include "serve/rescheduler.hpp"
-#include "svm/reschedule.hpp"
 #include "svm/serialize.hpp"
 
 namespace ls::serve {

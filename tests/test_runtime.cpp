@@ -1,5 +1,5 @@
-// Tests for the runtime extensions: batch prediction and mid-training layout
-// re-scheduling.
+// Tests for the runtime extensions: batch prediction, SVR serialisation,
+// linear weights, heuristic sanity and ROC AUC.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -11,7 +11,6 @@
 #include "sched/selector.hpp"
 #include "svm/batch_predict.hpp"
 #include "svm/kernel_engine.hpp"
-#include "svm/reschedule.hpp"
 #include "svm/serialize.hpp"
 #include "svm/trainer.hpp"
 #include "test_util.hpp"
@@ -219,91 +218,6 @@ TEST(RocAuc, HandComputedTies) {
   // Single-class input throws.
   ds.y = {1.0, 1.0, 1.0, 1.0};
   EXPECT_THROW(roc_auc(model, ds), Error);
-}
-
-// ------------------------------------------------- runtime rescheduling
-
-TEST(Reschedule, RecoversFromADeliberatelyBadLayout) {
-  // trefethen-like banded matrix: DEN is catastrophic, DIA/CSR are right.
-  const Dataset ds = profile_by_name("trefethen").generate(66);
-  SvmParams params;
-  params.tolerance = 1e-2;
-  params.max_iterations = 400;
-
-  RescheduleOptions opts;
-  opts.check_after_rows = 8;
-  // Rescheduling races wall-clock probes; pin to one thread so an
-  // oversubscribed OMP_NUM_THREADS run cannot skew the measurements.
-  const TrainResult r = test::with_threads(1, [&] {
-    return train_reschedulable(ds, params, Format::kDEN, opts);
-  });
-  EXPECT_NE(r.decision.format, Format::kDEN);  // switched away
-  EXPECT_NE(r.decision.rationale.find("started DEN"), std::string::npos);
-}
-
-TEST(Reschedule, StaysPutWhenTheLayoutIsAlreadyGood) {
-  Rng rng(67);
-  Dataset ds;
-  ds.name = "good";
-  ds.X = test::random_matrix(300, 40, 0.1, rng);
-  ds.y = plant_labels(ds.X, 0.05, 67);
-  SvmParams params;
-  params.tolerance = 1e-2;
-
-  RescheduleOptions opts;
-  opts.check_after_rows = 8;
-  opts.switch_threshold = 1.5;
-  // Timing-based: with oversubscribed OpenMP threads the probe can
-  // legitimately measure another format faster, so pin to one thread. The
-  // "already good" starting layout is whatever the same empirical probe
-  // ranks best right now — which format that is depends on the active
-  // SIMD kernel level, so ask rather than hard-code.
-  Format good = Format::kCSR;
-  const TrainResult r = test::with_threads(1, [&] {
-    good = EmpiricalAutotuner(opts.autotune).choose(ds.X).format;
-    return train_reschedulable(ds, params, good, opts);
-  });
-  EXPECT_EQ(r.decision.format, good);
-}
-
-TEST(Reschedule, SolutionMatchesFixedFormatTraining) {
-  Rng rng(68);
-  Dataset ds;
-  ds.name = "same";
-  ds.X = test::random_matrix(120, 15, 0.3, rng);
-  ds.y = plant_labels(ds.X, 0.05, 68);
-  SvmParams params;
-
-  RescheduleOptions opts;
-  opts.check_after_rows = 16;
-  const TrainResult resched =
-      train_reschedulable(ds, params, Format::kELL, opts);
-  const TrainResult fixed = train_fixed_format(ds, params, Format::kCSR);
-  ASSERT_TRUE(resched.stats.converged);
-  // Same QP regardless of layout churn: objectives agree.
-  EXPECT_NEAR(resched.stats.objective, fixed.stats.objective,
-              1e-3 * std::abs(fixed.stats.objective) + 1e-6);
-}
-
-TEST(Reschedule, RespectsTheSwitchBudget) {
-  Rng rng(69);
-  Dataset ds;
-  ds.name = "budget";
-  ds.X = test::random_matrix(80, 10, 0.3, rng);
-  ds.y = plant_labels(ds.X, 0.05, 69);
-
-  RescheduleOptions opts;
-  opts.check_after_rows = 4;
-  opts.max_switches = 2;
-  ReschedulingKernelEngine engine(ds.X, KernelParams{}, Format::kCOO, opts);
-  std::vector<real_t> row(static_cast<std::size_t>(ds.rows()));
-  for (index_t i = 0; i < 40; ++i) {
-    engine.compute_row(i % ds.rows(), row);
-  }
-  EXPECT_LE(engine.switches(), 2);
-  EXPECT_THROW(ReschedulingKernelEngine(ds.X, KernelParams{}, Format::kCOO,
-                                        RescheduleOptions{0, 1.25, 1, {}}),
-               Error);
 }
 
 }  // namespace
