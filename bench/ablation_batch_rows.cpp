@@ -1,5 +1,5 @@
-// Ablation: batched SMSV. BatchPredictor and the serving probe score a
-// block of B right-hand sides with one AnyMatrix::multiply_dense_batch,
+// Ablation: batched SMSV. BatchPredictor and the serving micro-batcher score
+// a block of B right-hand sides with one AnyMatrix::multiply_dense_batch,
 // which streams the stored matrix once per block instead of once per
 // vector. This bench measures the per-row win of that batching against B
 // calls of the single-rhs multiply_dense, per format and per batch size.

@@ -48,8 +48,9 @@ serve_smoke() {
   # Serving smoke: the whole daemon lifecycle against a real trained model.
   # Train the demo model, start serve_tool on a unix socket, push 1k
   # requests through serve_client, assert nothing was shed and the p95 is
-  # sane, then shut the daemon down over the wire. Runs again in the TSan
-  # stage so the batcher/worker/reload threading is race-checked end to end.
+  # sane, then shut the daemon down over the wire. Runs again in the
+  # ASan+UBSan stage and in the TSan stage, where the batcher/worker/reload
+  # threading is race-checked end to end.
   local build_dir="$1"
   local sock
   sock="$(mktemp -u /tmp/ls_serve_smoke.XXXXXX.sock)"
@@ -142,9 +143,9 @@ reschedule_smoke() {
   # fixed layout (DIA) and the bandit enabled. Live traffic must make the
   # rescheduler swap the model off that layout with zero lost requests,
   # the stats verb must report the swap and the bandit arms, and SIGTERM
-  # must still drain the daemon cleanly. Runs again in the TSan stage so
-  # the policy thread / worker / stats-reader interleavings are race-
-  # checked end to end.
+  # must still drain the daemon cleanly. Runs again in the ASan+UBSan
+  # stage and in the TSan stage, where the policy thread / worker /
+  # stats-reader interleavings are race-checked end to end.
   local build_dir="$1"
   local sock log
   sock="$(mktemp -u /tmp/ls_resched_smoke.XXXXXX.sock)"
@@ -582,6 +583,10 @@ if [[ "${mode}" == "all" || "${mode}" == "--sanitize-only" ]]; then
   # ASan's allocator dislikes being re-run in a dirty tree configured
   # without sanitizers, so it gets its own build directory.
   run_suite build-asan -DLS_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  # The load-time layout decision and the bandit's cost-model priors run
+  # under ASan+UBSan through real daemons too (one daemon each).
+  serve_smoke build-asan
+  reschedule_smoke build-asan
 fi
 
 if [[ "${mode}" == "all" || "${mode}" == "--tsan-only" ]]; then

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -82,29 +83,24 @@ CostCalibration CostCalibration::measure() {
     for (std::size_t j = 0; j < w.size(); j += 3) w[j] = 0.5;  // sparse-ish w
     const double secs = time_best([&] { mat.multiply_dense(w, y); }, 5, 0.005);
     const double ops = static_cast<double>(mat.work_flops());
-    cal.seconds_per_op_[static_cast<std::size_t>(f)] =
-        ops > 0 ? secs / ops : 1e-9;
-
-    // Batched dimension: same matrix, kCalibrationBatchRows interleaved
-    // right-hand sides, cost normalised per op per rhs.
-    const auto b = static_cast<std::size_t>(kCalibrationBatchRows);
-    w.assign(static_cast<std::size_t>(mat.cols()) * b, 0.0);
-    y.assign(static_cast<std::size_t>(mat.rows()) * b, 0.0);
-    for (std::size_t j = 0; j < w.size(); j += 3) w[j] = 0.5;
-    const double batch_secs = time_best(
-        [&] { mat.multiply_dense_batch(w, kCalibrationBatchRows, y); }, 5,
-        0.005);
-    cal.batch_seconds_per_op_[static_cast<std::size_t>(f)] =
-        ops > 0 ? batch_secs / (ops * static_cast<double>(b)) : 1e-9;
+    double& cost = cal.seconds_per_op_[static_cast<std::size_t>(f)];
+    cost = std::min(cost, ops > 0 ? secs / ops : 1e-9);
   };
 
-  time_format(dense, Format::kDEN);
-  time_format(sparse, Format::kCSR);
-  time_format(sparse, Format::kCOO);
-  time_format(sparse, Format::kELL);
-  time_format(banded, Format::kDIA);
-  time_format(sparse, Format::kCSC);
-  time_format(sparse, Format::kHYB);
+  // Two passes, keeping each format's best. A transient stall, such as a
+  // new thread's OpenMP team starting beside busy ones, can slow every
+  // multiply of the first few hundred milliseconds ~100x; it spoils a
+  // format's first pass but not both.
+  cal.seconds_per_op_.fill(std::numeric_limits<double>::infinity());
+  for (int pass = 0; pass < 2; ++pass) {
+    time_format(dense, Format::kDEN);
+    time_format(sparse, Format::kCSR);
+    time_format(sparse, Format::kCOO);
+    time_format(sparse, Format::kELL);
+    time_format(banded, Format::kDIA);
+    time_format(sparse, Format::kCSC);
+    time_format(sparse, Format::kHYB);
+  }
 
   // ISA probes: the active dispatch level's streamed vs gathered cost per
   // element, measured on the level's own micro-kernels. The ratio feeds
@@ -142,7 +138,6 @@ CostCalibration CostCalibration::measure() {
 CostCalibration CostCalibration::uniform() {
   CostCalibration cal;
   cal.seconds_per_op_.fill(1.0);
-  cal.batch_seconds_per_op_.fill(1.0);
   cal.level_agnostic_ = true;
   return cal;
 }
@@ -166,15 +161,6 @@ std::string CostCalibration::to_string() const {
     char buf[64];
     std::snprintf(buf, sizeof(buf), " %s=%.3g",
                   std::string(format_name(f)).c_str(), seconds_per_op(f));
-    out += buf;
-  }
-  out += "; batched seconds/op/rhs (b=" +
-         std::to_string(kCalibrationBatchRows) + "):";
-  for (Format f : kExtendedFormats) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), " %s=%.3g",
-                  std::string(format_name(f)).c_str(),
-                  batch_seconds_per_op(f));
     out += buf;
   }
   if (level_agnostic_) {
@@ -201,26 +187,20 @@ CostPrediction predict_cost(const MatrixFeatures& feat,
   p.simd_level = cal.simd_level();
   p.vector_width = cal.vector_width();
   p.gather_cost_ratio = cal.gather_cost_ratio();
-  for (Format f : kAllFormats) {
+  // All seven formats, not just the paper's five: the bandit's arm set is
+  // configurable and a prior of 0.0 would read as "free".
+  for (Format f : kExtendedFormats) {
     const auto i = static_cast<std::size_t>(f);
     p.flops[i] = modeled_flops(f, feat);
     p.bytes[i] = modeled_bytes(f, feat);
     p.seconds[i] = p.flops[i] * cal.seconds_per_op(f);
-    p.batch_seconds[i] = p.flops[i] * cal.batch_seconds_per_op(f);
   }
   return p;
 }
 
 std::array<double, kNumFormats> predicted_arm_priors(
     const MatrixFeatures& feat, const CostCalibration& cal) {
-  // All seven formats, not just the paper's five: the bandit's arm set is
-  // configurable and a prior of 0.0 would read as "free".
-  std::array<double, kNumFormats> priors{};
-  for (Format f : kExtendedFormats) {
-    const auto i = static_cast<std::size_t>(f);
-    priors[i] = modeled_flops(f, feat) * cal.batch_seconds_per_op(f);
-  }
-  return priors;
+  return predict_cost(feat, cal).seconds;
 }
 
 }  // namespace ls

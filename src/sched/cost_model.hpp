@@ -9,6 +9,10 @@
 //     captures the bandwidth/indirection differences the paper measured
 //     (e.g. 25.3 GB/s for ELL vs 63.9 GB/s for CSR on gisette) without
 //     hard-coding another machine's constants.
+//
+// Everything is priced at one shape, the single-row SMSV the autotuner
+// races: the heuristic selector ranks formats by it and the serving
+// bandit seeds its arms with it.
 #pragma once
 
 #include <array>
@@ -21,17 +25,11 @@
 
 namespace ls {
 
-/// Right-hand-side count used to calibrate the batched-kernel dimension.
-inline constexpr index_t kCalibrationBatchRows = 8;
-
 /// Predicted cost of one SMSV (y = X * w) in each format.
 struct CostPrediction {
   std::array<double, kNumFormats> seconds{};  // indexed by Format
   std::array<double, kNumFormats> flops{};    // modelled multiply-adds
   std::array<double, kNumFormats> bytes{};    // modelled bytes streamed
-  /// Predicted seconds per *row* of one batched SMSV at
-  /// kCalibrationBatchRows right-hand sides (amortised matrix streaming).
-  std::array<double, kNumFormats> batch_seconds{};
 
   /// ISA terms inherited from the calibration the prediction was made
   /// with: the dispatch level and accumulator width the measured
@@ -44,9 +42,6 @@ struct CostPrediction {
 
   double seconds_of(Format f) const {
     return seconds[static_cast<std::size_t>(f)];
-  }
-  double batch_seconds_of(Format f) const {
-    return batch_seconds[static_cast<std::size_t>(f)];
   }
 };
 
@@ -108,18 +103,10 @@ class CostCalibration {
     return level_agnostic_ || simd_level_ == simd::active_level();
   }
 
-  /// Seconds per multiply-add per right-hand side when the format runs its
-  /// batched kernel (multiply_dense_batch) at kCalibrationBatchRows rhs.
-  /// Lower than seconds_per_op where batching amortises matrix streaming.
-  double batch_seconds_per_op(Format f) const {
-    return batch_seconds_per_op_[static_cast<std::size_t>(f)];
-  }
-
   std::string to_string() const;
 
  private:
   std::array<double, kNumFormats> seconds_per_op_{};
-  std::array<double, kNumFormats> batch_seconds_per_op_{};
   simd::SimdLevel simd_level_ = simd::SimdLevel::kScalar;
   int vector_width_ = 1;
   bool level_agnostic_ = false;
@@ -127,16 +114,17 @@ class CostCalibration {
   double stream_seconds_per_elem_ = 1.0;
 };
 
-/// Full prediction for all five formats. Throws when `cal` was measured
-/// under a dispatch level other than the active one (stale-ISA
+/// Full prediction for every format, the extended ones included (the
+/// heuristic selector ranks only the paper's five). Throws when `cal` was
+/// measured under a dispatch level other than the active one (stale-ISA
 /// calibration) — refit via CostCalibration::instance() after a level
 /// switch.
 CostPrediction predict_cost(const MatrixFeatures& feat,
                             const CostCalibration& cal);
 
-/// Bandit arm priors: predicted per-row batched-SMSV seconds for every
-/// format, from the calibrated cost model. The serving-side rescheduler
-/// seeds its UCB1 arms with these so an unexplored layout starts at its
+/// Bandit arm priors: predicted SMSV seconds for every format
+/// (predict_cost(...).seconds). The serving-side rescheduler seeds its
+/// UCB1 arms with these so an unexplored layout starts at its
 /// *predicted* cost instead of infinity (or zero) — exploration is guided
 /// by the model instead of being uniform, and a layout the model already
 /// knows to be hopeless is never worth a live experiment.

@@ -101,16 +101,6 @@ void record_decision_metrics(const ScheduleDecision& d) {
                              std::string(format_name(f)),
                          s);
     }
-    const double bs = d.batch_score_of(f);
-    if (std::isfinite(bs) && bs > 0.0) {
-      metrics::gauge_set("sched.batch_score_seconds." +
-                             std::string(format_name(f)),
-                         bs);
-    }
-  }
-  if (d.probe_batch_rows > 1) {
-    metrics::gauge_set("sched.probe_batch_rows",
-                       static_cast<double>(d.probe_batch_rows));
   }
   metrics::gauge_set("sched.degraded", d.degraded ? 1.0 : 0.0);
   metrics::annotate("sched.chosen_format", format_name(d.format));

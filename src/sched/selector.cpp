@@ -23,10 +23,9 @@ namespace {
 
 /// Timed SMSV repetitions per autotune candidate.
 constexpr int kAutotuneTrials = 3;
-/// The autotuner skips candidates whose modelled storage exceeds this
-/// multiple of the matrix's CSR storage (avoids materialising absurd
-/// layouts).
-constexpr double kAutotuneMaxStorageRatio = 64.0;
+/// Both selectors skip formats whose modelled storage exceeds this multiple
+/// of the matrix's CSR storage (avoids materialising absurd layouts).
+constexpr double kMaxStorageRatio = 64.0;
 
 /// Storage words each format would need, from features alone.
 double modeled_storage_words(Format f, const MatrixFeatures& feat) {
@@ -42,25 +41,22 @@ double modeled_storage_words(Format f, const MatrixFeatures& feat) {
   return static_cast<double>(storage_words(f, s));
 }
 
-bool storage_admissible(Format f, const MatrixFeatures& feat, double ratio) {
+bool storage_admissible(Format f, const MatrixFeatures& feat) {
   const double csr = std::max(
       1.0, modeled_storage_words(Format::kCSR, feat));
-  return modeled_storage_words(f, feat) <= ratio * csr;
+  return modeled_storage_words(f, feat) <= kMaxStorageRatio * csr;
 }
 
 }  // namespace
 
-ScheduleDecision HeuristicSelector::choose(const MatrixFeatures& feat,
-                                           double max_storage_ratio) const {
+ScheduleDecision HeuristicSelector::choose(const MatrixFeatures& feat) const {
   const CostPrediction pred = predict_cost(feat, *cal_);
   ScheduleDecision d;
   d.score_seconds = pred.seconds;
-  d.batch_score_seconds = pred.batch_seconds;
-  d.probe_batch_rows = kCalibrationBatchRows;
 
   double best = std::numeric_limits<double>::infinity();
   for (Format f : kAllFormats) {
-    if (!storage_admissible(f, feat, max_storage_ratio)) {
+    if (!storage_admissible(f, feat)) {
       // Leave the score visible but never select the format.
       continue;
     }
@@ -117,29 +113,8 @@ ScheduleDecision EmpiricalAutotuner::choose(const CooMatrix& x) const {
   probe->gather_row(rng.uniform_int(0, probe->rows() - 1), row);
   row.scatter(w);
 
-  // Optional batched probe dimension: the same gathered row replicated as
-  // an interleaved block of `batch_rows` right-hand sides. When enabled the
-  // race is decided on the per-row batched score, the regime batch_predict
-  // and the serving micro-batcher actually run in.
-  const index_t batch_rows =
-      std::clamp<index_t>(opts_.batch_rows, 1, kMaxSmsvBatch);
-  std::vector<real_t> wb;
-  std::vector<real_t> yb;
-  if (batch_rows > 1) {
-    wb.assign(w.size() * static_cast<std::size_t>(batch_rows), 0.0);
-    yb.assign(y.size() * static_cast<std::size_t>(batch_rows), 0.0);
-    for (std::size_t j = 0; j < w.size(); ++j) {
-      for (index_t q = 0; q < batch_rows; ++q) {
-        wb[j * static_cast<std::size_t>(batch_rows) +
-           static_cast<std::size_t>(q)] = w[j];
-      }
-    }
-  }
-
   ScheduleDecision d;
   d.score_seconds.fill(std::numeric_limits<double>::infinity());
-  d.batch_score_seconds.fill(std::numeric_limits<double>::infinity());
-  d.probe_batch_rows = batch_rows;
   double best = std::numeric_limits<double>::infinity();
   bool any = false;
   const std::span<const Format> candidates =
@@ -147,7 +122,7 @@ ScheduleDecision EmpiricalAutotuner::choose(const CooMatrix& x) const {
                              : std::span<const Format>(kAllFormats);
   for (Format f : candidates) {
     const std::string fname(format_name(f));
-    if (!storage_admissible(f, feat, kAutotuneMaxStorageRatio)) continue;
+    if (!storage_admissible(f, feat)) continue;
     if (opts_.candidate_bytes_budget > 0) {
       const double bytes = modeled_storage_words(f, feat) *
                            static_cast<double>(kRealBytes);
@@ -169,23 +144,12 @@ ScheduleDecision EmpiricalAutotuner::choose(const CooMatrix& x) const {
       const double secs = time_best([&] { mat.multiply_dense(w, y); },
                                     kAutotuneTrials, 0.002) *
                           scale;
-      double batch_secs = std::numeric_limits<double>::infinity();
-      if (batch_rows > 1) {
-        // Per-row batched score: time the whole block, divide by b.
-        batch_secs = time_best([&] { mat.multiply_dense_batch(
-                                   wb, batch_rows, yb); },
-                               kAutotuneTrials, 0.002) *
-                     scale / static_cast<double>(batch_rows);
-        probe_span.arg("batch_score_seconds", std::to_string(batch_secs));
-      }
       metrics::timer_record("sched.probe_seconds." + fname,
                             candidate_timer.seconds());
       probe_span.arg("score_seconds", std::to_string(secs));
       d.score_seconds[static_cast<std::size_t>(f)] = secs;
-      d.batch_score_seconds[static_cast<std::size_t>(f)] = batch_secs;
-      const double race_score = batch_rows > 1 ? batch_secs : secs;
-      if (race_score < best) {
-        best = race_score;
+      if (secs < best) {
+        best = secs;
         d.format = f;
         any = true;
       }
@@ -207,12 +171,7 @@ ScheduleDecision EmpiricalAutotuner::choose(const CooMatrix& x) const {
     throw Error("empirical autotune: no candidate survived (storage guards"
                 " or per-candidate failures)" + detail);
   }
-  d.rationale =
-      batch_rows > 1
-          ? "empirical autotune: min measured batched SMSV time/row at b=" +
-                std::to_string(batch_rows) + " (" +
-                std::string(format_name(d.format)) + ")"
-          : "empirical autotune: min measured SMSV time (" +
+  d.rationale = "empirical autotune: min measured SMSV time (" +
                 std::string(format_name(d.format)) + ")";
   return d;
 }

@@ -10,6 +10,11 @@
 //     ground truth at the price of building candidate formats up front.
 //     Because SMO then runs thousands of iterations over the chosen layout,
 //     the tuning cost is amortised away (the paper's "runtime scheduling").
+//
+// Both race one shape: the single-row SMSV (one gathered row times the
+// matrix) that SMO issues twice per iteration. Serving scores about one row
+// per micro-batch too, so the serving engine's load-time decision and the
+// bandit's priors use the same shape; no caller picks a probe shape.
 #pragma once
 
 #include <array>
@@ -29,14 +34,6 @@ namespace ls {
 struct ScheduleDecision {
   Format format = Format::kCSR;
   std::array<double, kNumFormats> score_seconds{};
-  /// Per-format seconds per *row* when the format runs its batched kernel
-  /// (multiply_dense_batch). Heuristic: predicted from the batched
-  /// calibration dimension. Empirical: measured when
-  /// AutotuneOptions::batch_rows > 1, else left infinite.
-  std::array<double, kNumFormats> batch_score_seconds{};
-  /// Right-hand sides per probe multiply that produced batch_score_seconds
-  /// (1 = batched dimension not probed).
-  index_t probe_batch_rows = 1;
   std::string rationale;
   /// True when a fallback path produced this decision (empirical candidates
   /// all failed, or the chosen format could not be materialised). The
@@ -50,9 +47,6 @@ struct ScheduleDecision {
   double score_of(Format f) const {
     return score_seconds[static_cast<std::size_t>(f)];
   }
-  double batch_score_of(Format f) const {
-    return batch_score_seconds[static_cast<std::size_t>(f)];
-  }
 };
 
 /// Cost-model-driven selector.
@@ -63,10 +57,9 @@ class HeuristicSelector {
   HeuristicSelector() : cal_(&CostCalibration::instance()) {}
 
   /// Picks the format with the lowest predicted SMSV time. Formats whose
-  /// storage would exceed `max_storage_ratio` times the CSR storage are
-  /// disqualified first (guards against e.g. DEN on sector blowing memory).
-  ScheduleDecision choose(const MatrixFeatures& feat,
-                          double max_storage_ratio = 64.0) const;
+  /// storage would exceed 64 times the CSR storage (the autotuner's guard
+  /// too) are disqualified first (e.g. DEN on sector would blow memory).
+  ScheduleDecision choose(const MatrixFeatures& feat) const;
 
  private:
   const CostCalibration* cal_;
@@ -84,12 +77,6 @@ struct AutotuneOptions {
   /// Per-candidate modelled storage budget in bytes (0 = unlimited);
   /// candidates above it are dropped before any allocation happens.
   std::size_t candidate_bytes_budget = 0;
-  /// Right-hand sides per probe multiply. 1 probes the single-rhs SMSV the
-  /// solver's hot loop issues; > 1 (clamped to kMaxSmsvBatch) additionally
-  /// probes multiply_dense_batch and races candidates on the per-row
-  /// batched score — the regime batch_predict and the serving
-  /// micro-batcher run in.
-  index_t batch_rows = 1;
 };
 
 /// Measurement-based selector.

@@ -46,11 +46,6 @@ ServeEngine::ServeEngine(ServeOptions opts)
           std::clamp<index_t>(opts.batcher.max_batch, 1, kMaxSmsvBatch)),
       batcher_(opts.batcher) {
   opts_.workers = std::max(1, opts_.workers);
-  // The probe dimension is the serving regime: the micro-batcher streams
-  // the SV matrix once per batch of up to kMaxSmsvBatch rows.
-  if (opts_.sched.policy == SchedulePolicy::kEmpirical) {
-    opts_.sched.autotune.batch_rows = kMaxSmsvBatch;
-  }
   if (opts_.reschedule.enabled) {
     rescheduler_ = std::make_unique<LayoutRescheduler>(
         registry_, predictor_batch_rows_, opts_.reschedule);

@@ -7,7 +7,7 @@
 // Components:
 //
 //   ModelRegistry   N hosted models, layouts chosen at load time
-//                   (probed on the batched SMSV the batcher runs)
+//                   (probed on the single-row SMSV, as in training)
 //   MicroBatcher    bounded queue; coalesces concurrent requests
 //   worker pool     scores batches via BatchPredictor's re-entrant
 //                   span API (one multiply_dense_batch per flush)
@@ -44,9 +44,8 @@ struct ServeOptions {
   /// them are shed with kOverloaded instead of scored — compute spent on a
   /// request the client has given up on is pure waste. 0 disables.
   double latency_budget_ms = 0.0;
-  /// Load-time scheduler options. With the empirical policy the engine
-  /// probes candidates on the batched kernel the micro-batcher runs
-  /// (autotune.batch_rows = kMaxSmsvBatch).
+  /// Load-time scheduler options, used as given: the decision races the
+  /// same single-row SMSV as training does.
   SchedulerOptions sched;
   /// Online layout re-scheduling policy (off unless reschedule.enabled).
   ReschedulerOptions reschedule;

@@ -1,7 +1,7 @@
 // Online layout re-scheduling for the serving engine — the paper's
 // runtime-scheduling claim closed into a loop over live traffic.
 //
-// The load-time layout decision (a batched scheduler probe) is made
+// The load-time layout decision (a single-row scheduler probe) is made
 // once, against probe matrices, before a single real request has arrived.
 // This module revisits it continuously: the engine reports every batch it
 // scores (model, layout, rows, seconds) through observe(), a background
@@ -13,7 +13,8 @@
 //
 //   telemetry        observe(): mean per-row seconds per (model, layout)
 //   priors           sched/cost_model::predicted_arm_priors — unexplored
-//                    arms start at their *predicted* cost, not infinity
+//                    arms start at their *predicted* single-row SMSV
+//                    cost, not infinity
 //   bandit           UCB1 for minimisation: value - c * scale * sqrt(
 //                    ln(total)/pulls); the exploration bonus shrinks as an
 //                    arm accumulates pulls

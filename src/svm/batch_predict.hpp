@@ -54,6 +54,9 @@ class BatchPredictor {
   /// The layout chosen for the support-vector matrix.
   Format layout() const { return decision_.format; }
 
+  /// The scheduler decision behind layout(), with its per-format scores.
+  const ScheduleDecision& decision() const { return decision_; }
+
  private:
   const SvmModel* model_;
   ScheduleDecision decision_;

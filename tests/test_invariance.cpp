@@ -121,9 +121,6 @@ TEST(Invariance, HeuristicDecisionThreadInvariant) {
     test::expect_bit_identical(
         std::span<const real_t>(d.score_seconds),
         std::span<const real_t>(base.score_seconds));
-    test::expect_bit_identical(
-        std::span<const real_t>(d.batch_score_seconds),
-        std::span<const real_t>(base.batch_score_seconds));
   }
 }
 

@@ -102,13 +102,14 @@ TEST(HeuristicSelector, PrefersCompactFormatForScatteredSparse) {
 }
 
 TEST(HeuristicSelector, StorageGuardDisqualifiesExplosiveFormats) {
-  // sector-like: very wide, scattered; DEN/DIA storage would be enormous.
+  // sector-like: very wide, scattered; DEN/DIA storage would be enormous
+  // (~1,800x and ~90x CSR's), beyond the shared 64x storage guard.
   Rng rng(24);
   std::vector<index_t> lens(200, 5);
   const CooMatrix coo = make_random_sparse(200, 20000, lens, rng);
   const ScheduleDecision d =
       HeuristicSelector(CostCalibration::uniform()).choose(
-          extract_features(coo), /*max_storage_ratio=*/8.0);
+          extract_features(coo));
   EXPECT_TRUE(d.format == Format::kCSR || d.format == Format::kCOO ||
               d.format == Format::kELL);
 }

@@ -28,6 +28,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "svm/serialize.hpp"
+#include "test_util.hpp"
 
 namespace ls::serve {
 namespace {
@@ -308,6 +309,28 @@ TEST(ServeEngine, UnloadedModelBecomesUnknown) {
   EXPECT_FALSE(engine.unload_model("m"));
   EXPECT_EQ(engine.predict("m", SparseVector({0}, {1.0})).status,
             Status::kUnknownModel);
+}
+
+// The load-time layout is decided on the single-row SMSV that training
+// probes, not on the batched kernel the micro-batcher runs. On this SV
+// matrix (256 x 64, ~30 % dense, one OpenMP thread) the two shapes disagree
+// on a 4-vCPU AVX-512 host: the single-row race picks DEN, a 64-row race
+// picks CSR. An engine that raced the batched shape would publish a layout
+// that is not the argmin of its own single-row scores.
+TEST(ServeEngine, LoadTimeLayoutIsTheSingleRowSmsvArgmin) {
+  const std::string path = temp_model_path("single_row_race.txt");
+  save_model_file(path, make_model(256, 64, 0x5106));
+  ServeEngine engine;  // default: empirical load-time decision
+  test::with_threads(1, [&] {
+    engine.load_model("m", path);
+    return 0;
+  });
+  const ScheduleDecision& d = engine.model("m")->predictor.decision();
+  Format argmin = Format::kCSR;
+  for (Format f : kAllFormats) {
+    if (d.score_of(f) < d.score_of(argmin)) argmin = f;
+  }
+  EXPECT_EQ(format_name(d.format), format_name(argmin)) << d.rationale;
 }
 
 // The micro-batching correctness keystone: scores must not depend on how
