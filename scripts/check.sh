@@ -12,6 +12,30 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# On any exit, SIGTERM the background jobs still running: a smoke that
+# fails under `set -e` (say, a daemon that never came up) must not leave
+# its daemons behind.
+stop_daemons() {
+  local pids
+  pids="$(jobs -p)"
+  [[ -z "${pids}" ]] || kill -TERM ${pids} 2>/dev/null || true
+}
+trap stop_daemons EXIT
+
+# wait_for_socket SOCK WHAT [LOG]: a started daemon creates its socket file
+# once it accepts connections. Waits up to 10 s for it; otherwise prints
+# "WHAT never came up" and LOG, and fails the check.
+wait_for_socket() {
+  local sock="$1" what="$2" log="${3:-}"
+  for _ in $(seq 1 100); do
+    [[ -S "${sock}" ]] && return 0
+    sleep 0.1
+  done
+  echo "${what} never came up"
+  [[ -z "${log}" ]] || cat "${log}"
+  exit 1
+}
+
 run_suite() {
   local build_dir="$1"
   shift
@@ -60,12 +84,7 @@ serve_smoke() {
   "./${build_dir}/examples/serve_tool" --socket "${sock}" \
     --models demo=/tmp/ls_demo_model.txt --workers 2 >/dev/null &
   local serve_pid=$!
-  # The daemon creates the socket file once it is accepting connections.
-  for _ in $(seq 1 100); do
-    [[ -S "${sock}" ]] && break
-    sleep 0.1
-  done
-  [[ -S "${sock}" ]] || { echo "serve_tool never came up"; exit 1; }
+  wait_for_socket "${sock}" "serve_tool"
   "./${build_dir}/examples/serve_client" --socket "${sock}" --mode ping
   local bench_out
   bench_out="$("./${build_dir}/examples/serve_client" --socket "${sock}" \
@@ -116,11 +135,7 @@ chaos_smoke() {
     --read-timeout-ms 2000 --idle-timeout-ms 10000 \
     --drain-ms 5000 >"${log}" &
   local serve_pid=$!
-  for _ in $(seq 1 100); do
-    [[ -S "${sock}" ]] && break
-    sleep 0.1
-  done
-  [[ -S "${sock}" ]] || { echo "serve_tool never came up"; cat "${log}"; exit 1; }
+  wait_for_socket "${sock}" "serve_tool" "${log}"
   # serve_client exits non-zero when any request failed after retries.
   "./${build_dir}/examples/serve_client" --socket "${sock}" \
     --mode bench --model demo --data /tmp/ls_demo_test.libsvm \
@@ -160,11 +175,7 @@ reschedule_smoke() {
     --reschedule-threshold 1.05 --reschedule-min-obs 4 \
     --reschedule-hysteresis-ms 50 --drain-ms 5000 >"${log}" &
   local serve_pid=$!
-  for _ in $(seq 1 100); do
-    [[ -S "${sock}" ]] && break
-    sleep 0.1
-  done
-  [[ -S "${sock}" ]] || { echo "serve_tool never came up"; cat "${log}"; exit 1; }
+  wait_for_socket "${sock}" "serve_tool" "${log}"
   local bench_out
   bench_out="$("./${build_dir}/examples/serve_client" --socket "${sock}" \
     --mode bench --model demo --data /tmp/ls_demo_test.libsvm \
@@ -239,11 +250,7 @@ route_smoke() {
   done
   local sock
   for sock in "${rep_socks[@]}"; do
-    for _ in $(seq 1 100); do
-      [[ -S "${sock}" ]] && break
-      sleep 0.1
-    done
-    [[ -S "${sock}" ]] || { echo "replica ${sock} never came up"; exit 1; }
+    wait_for_socket "${sock}" "replica ${sock}"
   done
   local router_sock="${base}_router.sock" router_log="${base}_router.log"
   LS_FAILPOINTS='route.probe.delay=delay:1*20;route.breaker.force_open=error@50*2' \
@@ -251,12 +258,7 @@ route_smoke() {
     --replicas "unix:${rep_socks[0]},unix:${rep_socks[1]},unix:${rep_socks[2]}" \
     --probe-interval-ms 100 --drain-ms 5000 >"${router_log}" &
   local router_pid=$!
-  for _ in $(seq 1 100); do
-    [[ -S "${router_sock}" ]] && break
-    sleep 0.1
-  done
-  [[ -S "${router_sock}" ]] || {
-    echo "route_tool never came up"; cat "${router_log}"; exit 1; }
+  wait_for_socket "${router_sock}" "route_tool" "${router_log}"
   "./${build_dir}/examples/serve_client" --socket "${router_sock}" --mode ping
   local bench_out="${base}_bench.out"
   "./${build_dir}/examples/serve_client" --socket "${router_sock}" \
@@ -347,11 +349,7 @@ PY
     --models demo="${model}" --window 600 --retrain-interval-ms 200 \
     --min-new 50 --publish-socket "${ssock}" --drain-ms 5000 >"${tlog}" &
   local trainer_pid=$!
-  for _ in $(seq 1 100); do
-    [[ -S "${tsock}" ]] && break
-    sleep 0.1
-  done
-  [[ -S "${tsock}" ]] || { echo "train_tool never came up"; cat "${tlog}"; exit 1; }
+  wait_for_socket "${tsock}" "train_tool" "${tlog}"
   # First half of the stream: the trainer must produce its first accepted
   # model on its own cadence. Publishes fail until the serve tier exists —
   # the cold-start order is trainer first, and the failures are counted,
@@ -366,11 +364,7 @@ PY
   "./${build_dir}/examples/serve_tool" --socket "${ssock}" \
     --models demo="${model}" --workers 2 --drain-ms 5000 >"${slog}" &
   local serve_pid=$!
-  for _ in $(seq 1 100); do
-    [[ -S "${ssock}" ]] && break
-    sleep 0.1
-  done
-  [[ -S "${ssock}" ]] || { echo "serve_tool never came up"; cat "${slog}"; exit 1; }
+  wait_for_socket "${ssock}" "serve_tool" "${slog}"
   # Second half of the stream drives fresh retrains whose accepted models
   # are published as live reloads, while a retrying predict bench hammers
   # the same serving socket — its exit code asserts zero lost requests.
@@ -458,11 +452,7 @@ PY
   "./${build_dir}/examples/train_tool" --socket "${tsock}" \
     "${trainer_flags[@]}" >"${tlog}" &
   local trainer_pid=$!
-  for _ in $(seq 1 100); do
-    [[ -S "${tsock}" ]] && break
-    sleep 0.1
-  done
-  [[ -S "${tsock}" ]] || { echo "train_tool never came up"; cat "${tlog}"; exit 1; }
+  wait_for_socket "${tsock}" "train_tool" "${tlog}"
   grep -q "journal=${model}.wal" "${tlog}" || {
     echo "train_tool did not open its journal"; cat "${tlog}"; exit 1; }
   # Burst 1 completes: 250 examples, every one acked (and therefore,
@@ -491,11 +481,7 @@ PY
   "./${build_dir}/examples/train_tool" --socket "${tsock}" \
     "${trainer_flags[@]}" >"${t2log}" &
   trainer_pid=$!
-  for _ in $(seq 1 100); do
-    [[ -S "${tsock}" ]] && break
-    sleep 0.1
-  done
-  [[ -S "${tsock}" ]] || { echo "train_tool never came back"; cat "${t2log}"; exit 1; }
+  wait_for_socket "${tsock}" "restarted train_tool" "${t2log}"
   local replayed
   replayed="$(grep -oE 'replayed=[0-9]+' "${t2log}" | head -1 | cut -d= -f2 || true)"
   [[ -n "${replayed}" && "${replayed}" -ge 250 ]] || {
@@ -522,11 +508,7 @@ PY
   "./${build_dir}/examples/serve_tool" --socket "${ssock}" \
     --models demo="${model}" --workers 2 --drain-ms 5000 >"${slog}" &
   local serve_pid=$!
-  for _ in $(seq 1 100); do
-    [[ -S "${ssock}" ]] && break
-    sleep 0.1
-  done
-  [[ -S "${ssock}" ]] || { echo "serve_tool never came up"; cat "${slog}"; exit 1; }
+  wait_for_socket "${ssock}" "serve_tool" "${slog}"
   "./${build_dir}/examples/serve_client" --socket "${tsock}" --mode ingest \
     --model demo --data "${base}_train.libsvm" --count 500 --id-base 250 \
     | grep -q ' rejected=0' || { echo "burst 2 retry was rejected"; exit 1; }

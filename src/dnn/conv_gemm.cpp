@@ -148,11 +148,4 @@ void Conv2dGemm::backward(const Tensor& in, const Tensor& grad_out,
   }
 }
 
-double Conv2dGemm::flops_per_sample(const Tensor& in) const {
-  const index_t oh = in.h() + 2 * pad_ - k_ + 1;
-  const index_t ow = in.w() + 2 * pad_ - k_ + 1;
-  return static_cast<double>(out_c_ * oh * ow) *
-         static_cast<double>(patch_size());
-}
-
 }  // namespace ls

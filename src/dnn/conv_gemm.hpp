@@ -24,13 +24,11 @@ class Conv2dGemm : public Layer {
   Conv2dGemm(index_t in_channels, index_t out_channels, index_t kernel,
              index_t pad, Rng& rng);
 
-  std::string name() const override { return "conv_gemm"; }
   Tensor make_output(const Tensor& in) const override;
   void forward(const Tensor& in, Tensor& out) override;
   void backward(const Tensor& in, const Tensor& grad_out,
                 Tensor& grad_in) override;
   std::vector<ParamBlob*> params() override { return {&weight_, &bias_}; }
-  double flops_per_sample(const Tensor& in) const override;
 
  private:
   index_t patch_size() const { return in_c_ * k_ * k_; }

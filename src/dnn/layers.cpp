@@ -67,8 +67,7 @@ void Conv2d::backward(const Tensor& in, const Tensor& grad_out,
   grad_in.fill(0.0);
   const index_t oh = grad_out.h(), ow = grad_out.w();
   // Serial over batch for deterministic gradient accumulation into the
-  // shared weight blob (the data-parallel trainer parallelises across
-  // workers one level up instead).
+  // shared weight blob.
   for (index_t n = 0; n < in.n(); ++n) {
     for (index_t oc = 0; oc < out_c_; ++oc) {
       real_t bias_acc = 0.0;
@@ -94,13 +93,6 @@ void Conv2d::backward(const Tensor& in, const Tensor& grad_out,
       bias_.grad[static_cast<std::size_t>(oc)] += bias_acc;
     }
   }
-}
-
-double Conv2d::flops_per_sample(const Tensor& in) const {
-  const index_t oh = in.h() + 2 * pad_ - k_ + 1;
-  const index_t ow = in.w() + 2 * pad_ - k_ + 1;
-  return static_cast<double>(out_c_ * oh * ow) *
-         static_cast<double>(in_c_ * k_ * k_);
 }
 
 // -------------------------------------------------------------- MaxPool2d
@@ -146,10 +138,6 @@ void MaxPool2d::backward(const Tensor& in, const Tensor& grad_out,
   for (index_t i = 0; i < grad_out.size(); ++i) {
     grad_in[argmax_[static_cast<std::size_t>(i)]] += grad_out[i];
   }
-}
-
-double MaxPool2d::flops_per_sample(const Tensor& in) const {
-  return static_cast<double>(in.sample_size());
 }
 
 // -------------------------------------------------------------- AvgPool2d
@@ -199,10 +187,6 @@ void AvgPool2d::backward(const Tensor& in, const Tensor& grad_out,
   }
 }
 
-double AvgPool2d::flops_per_sample(const Tensor& in) const {
-  return static_cast<double>(in.sample_size());
-}
-
 // ------------------------------------------------------------------ ReLU
 
 void ReLU::forward(const Tensor& in, Tensor& out) {
@@ -215,63 +199,6 @@ void ReLU::backward(const Tensor& in, const Tensor& grad_out,
                     Tensor& grad_in) {
   for (index_t i = 0; i < in.size(); ++i) {
     grad_in[i] = in[i] > 0 ? grad_out[i] : 0.0;
-  }
-}
-
-// ------------------------------------------------------------------- LRN
-
-void Lrn::forward(const Tensor& in, Tensor& out) {
-  if (!scale_.same_shape(in)) {
-    scale_ = Tensor(in.n(), in.c(), in.h(), in.w());
-  }
-  const index_t half = size_ / 2;
-  const real_t norm = alpha_ / static_cast<real_t>(size_);
-  for (index_t n = 0; n < in.n(); ++n) {
-    for (index_t y = 0; y < in.h(); ++y) {
-      for (index_t x = 0; x < in.w(); ++x) {
-        for (index_t c = 0; c < in.c(); ++c) {
-          real_t window = 0.0;
-          const index_t lo = std::max<index_t>(0, c - half);
-          const index_t hi = std::min(in.c() - 1, c + half);
-          for (index_t j = lo; j <= hi; ++j) {
-            const real_t a = in.at(n, j, y, x);
-            window += a * a;
-          }
-          const real_t s = k_ + norm * window;
-          scale_.at(n, c, y, x) = s;
-          out.at(n, c, y, x) = in.at(n, c, y, x) * std::pow(s, -beta_);
-        }
-      }
-    }
-  }
-}
-
-void Lrn::backward(const Tensor& in, const Tensor& grad_out,
-                   Tensor& grad_in) {
-  LS_CHECK(scale_.same_shape(in), "Lrn::backward requires a prior forward");
-  const index_t half = size_ / 2;
-  const real_t norm = alpha_ / static_cast<real_t>(size_);
-  // grad_a_j = g_j s_j^-beta
-  //          - 2 beta norm a_j * sum_{i: j in window(i)} g_i a_i s_i^(-beta-1)
-  for (index_t n = 0; n < in.n(); ++n) {
-    for (index_t y = 0; y < in.h(); ++y) {
-      for (index_t x = 0; x < in.w(); ++x) {
-        for (index_t j = 0; j < in.c(); ++j) {
-          const real_t sj = scale_.at(n, j, y, x);
-          real_t g = grad_out.at(n, j, y, x) * std::pow(sj, -beta_);
-          real_t cross = 0.0;
-          const index_t lo = std::max<index_t>(0, j - half);
-          const index_t hi = std::min(in.c() - 1, j + half);
-          for (index_t i = lo; i <= hi; ++i) {
-            const real_t si = scale_.at(n, i, y, x);
-            cross += grad_out.at(n, i, y, x) * in.at(n, i, y, x) *
-                     std::pow(si, -beta_ - 1.0);
-          }
-          g -= 2.0 * beta_ * norm * in.at(n, j, y, x) * cross;
-          grad_in.at(n, j, y, x) = g;
-        }
-      }
-    }
   }
 }
 

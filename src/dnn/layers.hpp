@@ -1,4 +1,5 @@
-// Neural-network layers: the subset of Caffe needed by `cifar10_full`.
+// Neural-network layers: the subset of Caffe that the mini cifar10 net in
+// net.hpp uses (convolution, pooling, ReLU, fully connected, softmax loss).
 //
 // Every layer implements forward and backward with explicit loops (no BLAS
 // dependency); gradients are verified against finite differences in the
@@ -7,7 +8,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -29,8 +29,6 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  virtual std::string name() const = 0;
-
   /// Output shape for a given input shape (batch-size preserving).
   virtual Tensor make_output(const Tensor& in) const = 0;
 
@@ -44,26 +42,21 @@ class Layer {
 
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<ParamBlob*> params() { return {}; }
-
-  /// Forward multiply-add count per sample (for the roofline model).
-  virtual double flops_per_sample(const Tensor& in) const = 0;
 };
 
-/// 2-D convolution, stride 1, symmetric zero padding.
+/// 2-D convolution, stride 1, symmetric zero padding, as direct loops.
+/// The nets build Conv2dGemm (dnn/conv_gemm.hpp); this is the reference it
+/// is tested against and the baseline of bench/ablation_conv_gemm.
 class Conv2d : public Layer {
  public:
   Conv2d(index_t in_channels, index_t out_channels, index_t kernel,
          index_t pad, Rng& rng);
 
-  std::string name() const override { return "conv"; }
   Tensor make_output(const Tensor& in) const override;
   void forward(const Tensor& in, Tensor& out) override;
   void backward(const Tensor& in, const Tensor& grad_out,
                 Tensor& grad_in) override;
   std::vector<ParamBlob*> params() override { return {&weight_, &bias_}; }
-  double flops_per_sample(const Tensor& in) const override;
-
-  index_t out_channels() const { return out_c_; }
 
  private:
   real_t w_at(index_t oc, index_t ic, index_t kh, index_t kw) const {
@@ -86,12 +79,10 @@ class MaxPool2d : public Layer {
  public:
   MaxPool2d(index_t window, index_t stride) : win_(window), stride_(stride) {}
 
-  std::string name() const override { return "maxpool"; }
   Tensor make_output(const Tensor& in) const override;
   void forward(const Tensor& in, Tensor& out) override;
   void backward(const Tensor& in, const Tensor& grad_out,
                 Tensor& grad_in) override;
-  double flops_per_sample(const Tensor& in) const override;
 
  private:
   index_t out_dim(index_t in) const { return (in - win_) / stride_ + 1; }
@@ -104,12 +95,10 @@ class AvgPool2d : public Layer {
  public:
   AvgPool2d(index_t window, index_t stride) : win_(window), stride_(stride) {}
 
-  std::string name() const override { return "avgpool"; }
   Tensor make_output(const Tensor& in) const override;
   void forward(const Tensor& in, Tensor& out) override;
   void backward(const Tensor& in, const Tensor& grad_out,
                 Tensor& grad_in) override;
-  double flops_per_sample(const Tensor& in) const override;
 
  private:
   index_t out_dim(index_t in) const { return (in - win_) / stride_ + 1; }
@@ -119,44 +108,12 @@ class AvgPool2d : public Layer {
 /// Elementwise rectified linear unit.
 class ReLU : public Layer {
  public:
-  std::string name() const override { return "relu"; }
   Tensor make_output(const Tensor& in) const override {
     return Tensor(in.n(), in.c(), in.h(), in.w());
   }
   void forward(const Tensor& in, Tensor& out) override;
   void backward(const Tensor& in, const Tensor& grad_out,
                 Tensor& grad_in) override;
-  double flops_per_sample(const Tensor& in) const override {
-    return static_cast<double>(in.sample_size());
-  }
-};
-
-/// Cross-channel local response normalization (Caffe's LRN layer, present
-/// in cifar10_full as norm1/norm2):
-///   b_i = a_i / (k + (alpha / n) * sum_{j in window(i)} a_j^2)^beta
-/// where the window spans `local_size` adjacent channels centred on i.
-class Lrn : public Layer {
- public:
-  Lrn(index_t local_size = 3, real_t alpha = 5e-5, real_t beta = 0.75,
-      real_t k = 1.0)
-      : size_(local_size), alpha_(alpha), beta_(beta), k_(k) {}
-
-  std::string name() const override { return "lrn"; }
-  Tensor make_output(const Tensor& in) const override {
-    return Tensor(in.n(), in.c(), in.h(), in.w());
-  }
-  void forward(const Tensor& in, Tensor& out) override;
-  void backward(const Tensor& in, const Tensor& grad_out,
-                Tensor& grad_in) override;
-  double flops_per_sample(const Tensor& in) const override {
-    return static_cast<double>(in.sample_size()) *
-           static_cast<double>(size_ + 2);
-  }
-
- private:
-  index_t size_;
-  real_t alpha_, beta_, k_;
-  Tensor scale_;  // s_i = k + (alpha / n) * window sum, cached by forward
 };
 
 /// Fully connected layer: flattens (C, H, W) and applies W x + b.
@@ -164,7 +121,6 @@ class Linear : public Layer {
  public:
   Linear(index_t in_features, index_t out_features, Rng& rng);
 
-  std::string name() const override { return "linear"; }
   Tensor make_output(const Tensor& in) const override {
     return Tensor(in.n(), out_f_, 1, 1);
   }
@@ -172,10 +128,6 @@ class Linear : public Layer {
   void backward(const Tensor& in, const Tensor& grad_out,
                 Tensor& grad_in) override;
   std::vector<ParamBlob*> params() override { return {&weight_, &bias_}; }
-  double flops_per_sample(const Tensor& in) const override {
-    (void)in;
-    return static_cast<double>(in_f_ * out_f_);
-  }
 
  private:
   index_t in_f_, out_f_;

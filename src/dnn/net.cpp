@@ -80,71 +80,16 @@ std::vector<index_t> Net::predict() const {
   return labels;
 }
 
-double Net::flops_per_sample() const {
-  LS_CHECK(!layers_.empty(), "empty network");
-  double total = 0.0;
-  Tensor shape = input_template_;
-  for (const auto& layer : layers_) {
-    total += layer->flops_per_sample(shape);
-    shape = layer->make_output(shape);
-  }
-  return total;
-}
-
-index_t Net::num_parameters() {
-  index_t total = 0;
-  for (ParamBlob* p : params()) {
-    total += static_cast<index_t>(p->value.size());
-  }
-  return total;
-}
-
-namespace {
-
-/// Conv factory switching between the naive and GEMM-lowered kernels.
-std::unique_ptr<Layer> make_conv(bool gemm, index_t in_c, index_t out_c,
-                                 index_t kernel, index_t pad, Rng& rng) {
-  if (gemm) {
-    return std::make_unique<Conv2dGemm>(in_c, out_c, kernel, pad, rng);
-  }
-  return std::make_unique<Conv2d>(in_c, out_c, kernel, pad, rng);
-}
-
-}  // namespace
-
-Net make_cifar10_full(index_t classes, index_t channels, index_t dim,
-                      Rng& rng, bool gemm_conv) {
-  Net net(Tensor(1, channels, dim, dim));
-  // Stage 1: conv1 (32 x 5x5, pad 2) -> max pool -> relu1 -> norm1.
-  net.add(make_conv(gemm_conv, channels, 32, 5, 2, rng));
-  net.add(std::make_unique<MaxPool2d>(2, 2));
-  net.add(std::make_unique<ReLU>());
-  net.add(std::make_unique<Lrn>());
-  // Stage 2: conv2 (32 x 5x5, pad 2) -> relu2 -> norm2 -> avg pool.
-  net.add(make_conv(gemm_conv, 32, 32, 5, 2, rng));
-  net.add(std::make_unique<ReLU>());
-  net.add(std::make_unique<Lrn>());
-  net.add(std::make_unique<AvgPool2d>(2, 2));
-  // Stage 3: conv3 (64 x 5x5, pad 2) -> relu3 -> avg pool.
-  net.add(make_conv(gemm_conv, 32, 64, 5, 2, rng));
-  net.add(std::make_unique<ReLU>());
-  net.add(std::make_unique<AvgPool2d>(2, 2));
-  // Classifier.
-  const index_t spatial = dim / 8;
-  net.add(std::make_unique<Linear>(64 * spatial * spatial, classes, rng));
-  return net;
-}
-
 Net make_cifar10_small(index_t classes, index_t channels, index_t dim,
-                       Rng& rng, bool gemm_conv) {
-  Net net(Tensor(1, channels, dim, dim));
-  net.add(make_conv(gemm_conv, channels, 8, 5, 2, rng));
+                       Rng& rng) {
+  Net net;
+  net.add(std::make_unique<Conv2dGemm>(channels, 8, 5, 2, rng));
   net.add(std::make_unique<MaxPool2d>(2, 2));
   net.add(std::make_unique<ReLU>());
-  net.add(make_conv(gemm_conv, 8, 8, 5, 2, rng));
+  net.add(std::make_unique<Conv2dGemm>(8, 8, 5, 2, rng));
   net.add(std::make_unique<ReLU>());
   net.add(std::make_unique<AvgPool2d>(2, 2));
-  net.add(make_conv(gemm_conv, 8, 16, 5, 2, rng));
+  net.add(std::make_unique<Conv2dGemm>(8, 16, 5, 2, rng));
   net.add(std::make_unique<ReLU>());
   net.add(std::make_unique<AvgPool2d>(2, 2));
   const index_t spatial = dim / 8;

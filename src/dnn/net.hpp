@@ -1,5 +1,5 @@
-// Sequential network container plus the `cifar10_full` architecture factory
-// (the Caffe model the paper's Section IV trains on CIFAR-10).
+// Sequential network container plus a reduced `cifar10_full` factory (the
+// Caffe model the paper's Section IV trains on CIFAR-10).
 #pragma once
 
 #include <memory>
@@ -13,8 +13,6 @@ namespace ls {
 /// Sequential feed-forward network with a softmax-cross-entropy head.
 class Net {
  public:
-  explicit Net(Tensor input_template) : input_template_(input_template) {}
-
   /// Appends a layer; returns *this for chaining.
   Net& add(std::unique_ptr<Layer> layer);
 
@@ -37,16 +35,7 @@ class Net {
   /// Predicted class per sample of the last forward pass.
   std::vector<index_t> predict() const;
 
-  /// Total forward multiply-adds per sample (roofline model input).
-  double flops_per_sample() const;
-
-  /// Number of trainable scalars.
-  index_t num_parameters();
-
-  index_t num_layers() const { return static_cast<index_t>(layers_.size()); }
-
  private:
-  Tensor input_template_;  // shape reference for activation allocation
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<Tensor> activations_;  // activations_[i] = output of layer i
   Tensor probs_;
@@ -55,16 +44,13 @@ class Net {
   index_t cached_batch_ = -1;
 };
 
-/// Builds the cifar10_full architecture for `classes` classes on inputs of
-/// shape (channels, dim, dim): three conv5x5(pad 2)+pool+ReLU stages
-/// (32, 32, 64 filters) followed by a fully connected classifier — the
-/// layer stack of Caffe's examples/cifar10/cifar10_full_train_test.prototxt.
-Net make_cifar10_full(index_t classes, index_t channels, index_t dim,
-                      Rng& rng, bool gemm_conv = false);
-
-/// A reduced version of the same topology for fast real-training tests
-/// (8/8/16 filters); identical code paths at ~1/20 the flops.
+/// A reduced cifar10_full for fast real training: the layer stack of
+/// Caffe's examples/cifar10/cifar10_full_train_test.prototxt (three
+/// conv5x5(pad 2) + pool + ReLU stages and a fully connected classifier)
+/// with 8/8/16 filters instead of 32/32/64 and no LRN layers, for
+/// `classes` classes on inputs of shape (channels, dim, dim). Convolutions
+/// are GEMM-lowered (dnn/conv_gemm.hpp).
 Net make_cifar10_small(index_t classes, index_t channels, index_t dim,
-                       Rng& rng, bool gemm_conv = false);
+                       Rng& rng);
 
 }  // namespace ls

@@ -16,49 +16,18 @@
 namespace ls {
 
 /// Momentum-SGD optimiser over a fixed set of parameter blobs.
-///
-/// Optionally applies L2 weight decay (Caffe's cifar10_full solver uses
-/// 0.004): the effective gradient is g + wd * W.
 class SgdOptimizer {
  public:
   /// `params` must stay alive and stable for the optimiser's lifetime.
   SgdOptimizer(std::vector<ParamBlob*> params, real_t learning_rate,
-               real_t momentum, real_t weight_decay = 0.0)
-      : params_(std::move(params)), eta_(learning_rate), mu_(momentum),
-        wd_(weight_decay) {
+               real_t momentum)
+      : params_(std::move(params)), eta_(learning_rate), mu_(momentum) {
     LS_CHECK(eta_ > 0, "learning rate must be positive");
     LS_CHECK(mu_ >= 0 && mu_ < 1, "momentum must be in [0, 1)");
-    LS_CHECK(wd_ >= 0, "weight decay must be non-negative");
     velocity_.resize(params_.size());
     for (std::size_t k = 0; k < params_.size(); ++k) {
       velocity_[k].assign(params_[k]->value.size(), 0.0);
     }
-  }
-
-  real_t learning_rate() const { return eta_; }
-  real_t momentum() const { return mu_; }
-  real_t weight_decay() const { return wd_; }
-  void set_learning_rate(real_t eta) {
-    LS_CHECK(eta > 0, "learning rate must be positive");
-    eta_ = eta;
-  }
-
-  /// Momentum state, one vector per parameter blob in blob order — part of
-  /// the resumable training state (a resumed run must continue the same
-  /// velocity trajectory, not restart it at zero).
-  const std::vector<std::vector<real_t>>& velocity() const {
-    return velocity_;
-  }
-  void set_velocity(const std::vector<std::vector<real_t>>& v) {
-    LS_CHECK(v.size() == velocity_.size(),
-             "velocity blob count " << v.size() << " != " << velocity_.size());
-    for (std::size_t k = 0; k < v.size(); ++k) {
-      LS_CHECK(v[k].size() == velocity_[k].size(),
-               "velocity blob " << k << " has " << v[k].size()
-                                << " entries, expected "
-                                << velocity_[k].size());
-    }
-    velocity_ = v;
   }
 
   /// Applies one update from the currently accumulated gradients.
@@ -67,9 +36,8 @@ class SgdOptimizer {
       ParamBlob& p = *params_[k];
       std::vector<real_t>& v = velocity_[k];
       for (std::size_t i = 0; i < v.size(); ++i) {
-        const real_t g = p.grad[i] + wd_ * p.value[i];
-        v[i] = mu_ * v[i] - eta_ * g;  // Eq. (8)
-        p.value[i] += v[i];            // Eq. (9)
+        v[i] = mu_ * v[i] - eta_ * p.grad[i];  // Eq. (8)
+        p.value[i] += v[i];                    // Eq. (9)
       }
     }
   }
@@ -78,7 +46,6 @@ class SgdOptimizer {
   std::vector<ParamBlob*> params_;
   real_t eta_;
   real_t mu_;
-  real_t wd_;
   std::vector<std::vector<real_t>> velocity_;
 };
 

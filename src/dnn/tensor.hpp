@@ -24,9 +24,6 @@ class Tensor {
     LS_CHECK(n >= 0 && c >= 0 && h >= 0 && w >= 0, "negative tensor dims");
   }
 
-  /// Flat vector of length n (shape [n, 1, 1, 1]).
-  static Tensor flat(index_t n) { return Tensor(n, 1, 1, 1); }
-
   index_t n() const { return n_; }
   index_t c() const { return c_; }
   index_t h() const { return h_; }

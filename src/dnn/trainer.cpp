@@ -1,109 +1,18 @@
 #include "dnn/trainer.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <numeric>
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
-#include "common/failpoint.hpp"
-#include "common/fs_atomic.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
+#include "dnn/sgd.hpp"
 
 namespace ls {
-
-namespace {
-
-constexpr const char* kDnnCheckpointMagic = "ls_dnn_checkpoint v1";
-
-void write_blob_group(std::ostream& out, const char* name,
-                      const std::vector<std::vector<real_t>>& blobs) {
-  out << name << ' ' << blobs.size() << '\n';
-  for (const std::vector<real_t>& blob : blobs) {
-    out << blob.size();
-    for (real_t x : blob) out << ' ' << x;
-    out << '\n';
-  }
-}
-
-std::vector<std::vector<real_t>> read_blob_group(std::istream& in,
-                                                 const char* name) {
-  std::string line;
-  LS_CHECK(std::getline(in, line), "dnn checkpoint truncated at " << name);
-  std::istringstream header(line);
-  std::string key;
-  std::size_t count = 0;
-  LS_CHECK(static_cast<bool>(header >> key >> count) && key == name,
-           "bad dnn checkpoint group header: '" << line << "'");
-  std::vector<std::vector<real_t>> blobs(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    LS_CHECK(std::getline(in, line),
-             "dnn checkpoint truncated in group " << name);
-    std::istringstream ls(line);
-    std::size_t n = 0;
-    LS_CHECK(static_cast<bool>(ls >> n), "bad blob header in " << name);
-    blobs[k].reserve(n);
-    real_t x = 0.0;
-    while (ls >> x) blobs[k].push_back(x);
-    LS_CHECK(blobs[k].size() == n, "blob " << k << " in group " << name
-                                           << " has " << blobs[k].size()
-                                           << " entries, expected " << n);
-  }
-  return blobs;
-}
-
-}  // namespace
-
-void save_dnn_checkpoint(const std::string& path, const DnnCheckpoint& ck) {
-  LS_FAILPOINT("dnn.checkpoint.save");
-  atomic_write_file(path, [&](std::ostream& out) {
-    out << kDnnCheckpointMagic << '\n';
-    out << "epochs_completed " << ck.epochs_completed << '\n';
-    out << "iterations " << ck.iterations << '\n';
-    out << "learning_rate " << ck.learning_rate << '\n';
-    write_blob_group(out, "params", ck.params);
-    write_blob_group(out, "velocity", ck.velocity);
-  });
-}
-
-DnnCheckpoint load_dnn_checkpoint(const std::string& path) {
-  std::istringstream in(read_file_verified(path));
-  std::string line;
-  LS_CHECK(std::getline(in, line) && line == kDnnCheckpointMagic,
-           "bad dnn checkpoint magic in " << path);
-  DnnCheckpoint ck;
-  const auto read_scalar = [&](const char* name, auto& value) {
-    LS_CHECK(std::getline(in, line), "dnn checkpoint truncated at " << name);
-    std::istringstream ls(line);
-    std::string key;
-    LS_CHECK(static_cast<bool>(ls >> key >> value) && key == name,
-             "bad dnn checkpoint field: expected '" << name << "', got '"
-                                                    << line << "'");
-  };
-  read_scalar("epochs_completed", ck.epochs_completed);
-  read_scalar("iterations", ck.iterations);
-  read_scalar("learning_rate", ck.learning_rate);
-  LS_CHECK(ck.epochs_completed >= 0 && ck.iterations >= 0 &&
-               ck.learning_rate > 0,
-           "implausible dnn checkpoint scalars in " << path);
-  ck.params = read_blob_group(in, "params");
-  ck.velocity = read_blob_group(in, "velocity");
-  LS_CHECK(ck.params.size() == ck.velocity.size(),
-           "dnn checkpoint params/velocity blob count mismatch");
-  return ck;
-}
-
-std::optional<DnnCheckpoint> try_load_dnn_checkpoint(const std::string& path) {
-  if (!file_exists(path)) return std::nullopt;
-  try {
-    return load_dnn_checkpoint(path);
-  } catch (const Error&) {
-    return std::nullopt;  // corrupt snapshot: restart rather than poison
-  }
-}
 
 double evaluate(Net& net, const ImageDataset& ds, index_t batch) {
   LS_CHECK(ds.size() > 0, "cannot evaluate on an empty dataset");
@@ -122,92 +31,28 @@ double evaluate(Net& net, const ImageDataset& ds, index_t batch) {
   return static_cast<double>(correct) / static_cast<double>(ds.size());
 }
 
-double data_parallel_step(Net& net, SgdOptimizer& opt, const Tensor& batch,
-                          const std::vector<index_t>& labels,
-                          index_t workers) {
-  LS_CHECK(workers >= 1, "need at least one worker");
-  LS_CHECK(batch.n() % workers == 0,
-           "batch size " << batch.n() << " not divisible by " << workers
-                         << " workers");
-  const index_t shard = batch.n() / workers;
+namespace {
 
-  net.zero_grad();
-  double loss_sum = 0.0;
-  Tensor shard_in(shard, batch.c(), batch.h(), batch.w());
-  std::vector<index_t> shard_labels;
-  const index_t per_sample = batch.sample_size();
-  for (index_t wkr = 0; wkr < workers; ++wkr) {
-    const index_t begin = wkr * shard;
-    std::copy(batch.data() + begin * per_sample,
-              batch.data() + (begin + shard) * per_sample, shard_in.data());
-    shard_labels.assign(labels.begin() + begin,
-                        labels.begin() + begin + shard);
-    // Each worker computes the mean gradient over its shard; the blob
-    // accumulates across workers — that accumulation IS the allreduce sum.
-    net.forward(shard_in);
-    loss_sum += net.loss(shard_labels) * static_cast<double>(shard);
-    net.backward(shard_in, shard_labels);
-  }
-  // W = W - eta * (sum_i dW_i) / P    (Section IV-B update rule)
-  const real_t inv_workers = 1.0 / static_cast<real_t>(workers);
-  for (ParamBlob* p : net.params()) {
-    for (real_t& g : p->grad) g *= inv_workers;
-  }
-  opt.step();
-  return loss_sum / static_cast<double>(batch.n());
-}
+/// Seed of the batch shuffle stream; fixed, so a run is reproducible.
+constexpr std::uint64_t kShuffleSeed = 99;
 
-DnnTrainResult train_dnn(
-    Net& net, const CifarData& data, const DnnTrainConfig& config,
-    const std::function<void(index_t, double, double)>& on_epoch) {
+}  // namespace
+
+DnnTrainResult train_dnn(Net& net, const CifarData& data,
+                         const DnnTrainConfig& config) {
   LS_CHECK(config.batch_size >= 1, "batch size must be positive");
-  LS_CHECK(config.batch_size % config.workers == 0,
-           "batch size must be divisible by the worker count");
   const ImageDataset& train = data.train;
   LS_CHECK(train.size() >= config.batch_size,
            "training set smaller than one batch");
 
   Timer timer;
-  SgdOptimizer opt(net.params(), config.learning_rate, config.momentum,
-                   config.weight_decay);
-  Rng rng(config.shuffle_seed);
+  SgdOptimizer opt(net.params(), config.learning_rate, config.momentum);
+  Rng rng(kShuffleSeed);
 
   std::vector<index_t> order(static_cast<std::size_t>(train.size()));
   std::iota(order.begin(), order.end(), index_t{0});
 
   DnnTrainResult result;
-
-  // Resume from an existing epoch snapshot. The shuffle stream is replayed
-  // below (epochs before start_epoch re-shuffle without training), so the
-  // resumed run sees the exact batch sequence of an uninterrupted one.
-  index_t start_epoch = 0;
-  if (!config.checkpoint_path.empty()) {
-    if (const auto ck = try_load_dnn_checkpoint(config.checkpoint_path)) {
-      const std::vector<ParamBlob*> blobs = net.params();
-      bool compatible = ck->params.size() == blobs.size();
-      for (std::size_t k = 0; compatible && k < blobs.size(); ++k) {
-        compatible = ck->params[k].size() == blobs[k]->value.size();
-      }
-      if (compatible) {
-        for (std::size_t k = 0; k < blobs.size(); ++k) {
-          blobs[k]->value = ck->params[k];
-        }
-        opt.set_velocity(ck->velocity);
-        opt.set_learning_rate(ck->learning_rate);
-        start_epoch = std::min(ck->epochs_completed, config.max_epochs);
-        result.iterations = ck->iterations;
-        result.epochs_completed = start_epoch;
-      }
-    }
-  }
-  if (start_epoch >= config.max_epochs) {
-    // Nothing left to train; report the restored model's quality.
-    result.test_accuracy = evaluate(net, data.test);
-    result.reached_target = config.target_accuracy > 0.0 &&
-                            result.test_accuracy >= config.target_accuracy;
-    result.seconds = timer.seconds();
-    return result;
-  }
   Tensor batch(config.batch_size, train.images.c(), train.images.h(),
                train.images.w());
   std::vector<index_t> labels(static_cast<std::size_t>(config.batch_size));
@@ -215,19 +60,6 @@ DnnTrainResult train_dnn(
   const index_t batches_per_epoch = train.size() / config.batch_size;
 
   for (index_t epoch = 0; epoch < config.max_epochs; ++epoch) {
-    if (epoch < start_epoch) {
-      // Replay epoch: advance the shuffle stream only. The restored
-      // learning rate already includes this epoch's multistep drops.
-      shuffle(order.begin(), order.end(), rng);
-      continue;
-    }
-    LS_FAILPOINT("dnn.trainer.epoch");
-    // Multistep schedule: drop the learning rate every k epochs (Caffe's
-    // cifar10_full solver drops by 10x late in training).
-    if (config.lr_drop_every_epochs > 0 && epoch > 0 &&
-        epoch % config.lr_drop_every_epochs == 0) {
-      opt.set_learning_rate(opt.learning_rate() * config.lr_drop_factor);
-    }
     shuffle(order.begin(), order.end(), rng);
     Timer epoch_timer;  // training portion only (excludes evaluation)
     const double epoch_start_us = trace::enabled() ? trace::now_us() : 0.0;
@@ -243,22 +75,12 @@ DnnTrainResult train_dnn(
         labels[static_cast<std::size_t>(i)] =
             train.labels[static_cast<std::size_t>(src)];
       }
-      loss_acc +=
-          data_parallel_step(net, opt, batch, labels, config.workers);
+      net.zero_grad();
+      net.forward(batch);
+      loss_acc += net.loss(labels);
+      net.backward(batch, labels);
+      opt.step();
       ++result.iterations;
-
-      if (config.eval_every_iters > 0 &&
-          result.iterations % config.eval_every_iters == 0 &&
-          config.target_accuracy > 0.0) {
-        result.test_accuracy = evaluate(net, data.test);
-        if (result.test_accuracy >= config.target_accuracy) {
-          result.reached_target = true;
-          result.final_train_loss = loss_acc / static_cast<double>(b + 1);
-          result.epochs_completed = epoch;
-          result.seconds = timer.seconds();
-          return result;
-        }
-      }
     }
     const double epoch_seconds = epoch_timer.seconds();
     result.epochs_completed = epoch + 1;
@@ -286,25 +108,6 @@ DnnTrainResult train_dnn(
            {"test_accuracy", std::to_string(result.test_accuracy)}});
       trace::emit_counter("dnn.train_loss", result.final_train_loss);
       trace::emit_counter("dnn.test_accuracy", result.test_accuracy);
-    }
-    if (!config.checkpoint_path.empty() &&
-        config.checkpoint_every_epochs > 0 &&
-        (epoch + 1) % config.checkpoint_every_epochs == 0) {
-      DnnCheckpoint ck;
-      ck.epochs_completed = epoch + 1;
-      ck.iterations = result.iterations;
-      ck.learning_rate = opt.learning_rate();
-      for (ParamBlob* p : net.params()) ck.params.push_back(p->value);
-      ck.velocity = opt.velocity();
-      save_dnn_checkpoint(config.checkpoint_path, ck);
-    }
-    if (on_epoch) {
-      on_epoch(epoch + 1, result.final_train_loss, result.test_accuracy);
-    }
-    if (config.target_accuracy > 0.0 &&
-        result.test_accuracy >= config.target_accuracy) {
-      result.reached_target = true;
-      break;
     }
   }
   result.seconds = timer.seconds();

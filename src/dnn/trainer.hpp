@@ -1,48 +1,22 @@
-// Mini-batch DNN training loop, including the paper's data-parallel scheme
-// (Section IV-B): "divide-and-conquer for the data and replication for the
-// weights" — each of P workers computes gradients on B/P samples, a global
-// sum-reduce combines them, and every worker applies the same update.
-//
-// On this substrate the P workers are simulated in-process: gradients are
-// computed per shard and summed exactly as NCCL's allreduce would. The test
-// suite asserts the P-worker result is bit-identical (up to FP associativity
-// tolerance) to single-worker training with the same batch.
+// Mini-batch DNN training loop: momentum SGD (the paper's Eqs. 8-9) over a
+// shuffled training set, evaluated against the test split after every
+// epoch. The paper's data-parallel scheme (Section IV-B) is modelled, not
+// run: hw/multigpu.* prices its allreduce.
 #pragma once
-
-#include <functional>
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "common/types.hpp"
 #include "dnn/cifar.hpp"
 #include "dnn/net.hpp"
-#include "dnn/sgd.hpp"
 
 namespace ls {
 
-/// Training hyper-parameters (the paper's B, eta, mu) plus the solver
-/// details of Caffe's cifar10_full prototxt (weight decay, multistep LR).
+/// Training hyper-parameters: the paper's B, eta and mu, and an epoch
+/// budget.
 struct DnnTrainConfig {
   index_t batch_size = 100;
   real_t learning_rate = 0.001;
   real_t momentum = 0.9;
-  real_t weight_decay = 0.0;      ///< Caffe cifar10_full uses 0.004
-  index_t lr_drop_every_epochs = 0;  ///< 0 = constant learning rate
-  real_t lr_drop_factor = 0.1;       ///< multiplier at each drop
   index_t max_epochs = 10;
-  double target_accuracy = 0.0;  ///< stop early once test accuracy reached
-  index_t workers = 1;           ///< simulated data-parallel workers
-  index_t eval_every_iters = 0;  ///< 0 = evaluate at epoch boundaries only
-  std::uint64_t shuffle_seed = 99;
-  /// Fault tolerance: when non-empty, an atomic CRC-protected snapshot
-  /// (weights + momentum + progress) is written here every
-  /// `checkpoint_every_epochs` epochs, and — if a valid snapshot already
-  /// exists — training resumes from it instead of epoch 0. The shuffle
-  /// stream is replayed deterministically, so a resumed run follows the
-  /// exact batch sequence of an uninterrupted one.
-  std::string checkpoint_path;
-  index_t checkpoint_every_epochs = 1;
 };
 
 /// Outcome of a training run.
@@ -51,42 +25,15 @@ struct DnnTrainResult {
   index_t epochs_completed = 0;
   double final_train_loss = 0.0;
   double test_accuracy = 0.0;
-  bool reached_target = false;
   double seconds = 0.0;
 };
-
-/// Resumable training state captured at an epoch boundary.
-struct DnnCheckpoint {
-  index_t epochs_completed = 0;
-  index_t iterations = 0;
-  real_t learning_rate = 0.0;  ///< after any multistep drops so far
-  std::vector<std::vector<real_t>> params;    ///< blob values, blob order
-  std::vector<std::vector<real_t>> velocity;  ///< momentum state
-};
-
-/// Writes a snapshot atomically (tmp + fsync + rename, CRC footer).
-void save_dnn_checkpoint(const std::string& path, const DnnCheckpoint& ck);
-
-/// Reads a snapshot; throws ls::Error on missing/corrupt/truncated files.
-DnnCheckpoint load_dnn_checkpoint(const std::string& path);
-
-/// Lenient load for resume paths: nullopt when missing or unusable.
-std::optional<DnnCheckpoint> try_load_dnn_checkpoint(const std::string& path);
 
 /// Classification accuracy of `net` on `ds` (batched evaluation).
 double evaluate(Net& net, const ImageDataset& ds, index_t batch = 256);
 
-/// Trains `net` on `data.train`, evaluating against `data.test`.
-/// `on_epoch` (optional) is called after each epoch with (epoch, loss, acc).
-DnnTrainResult train_dnn(
-    Net& net, const CifarData& data, const DnnTrainConfig& config,
-    const std::function<void(index_t, double, double)>& on_epoch = {});
-
-/// One data-parallel gradient step on an explicit batch: splits the batch
-/// over `workers` shards, accumulates each shard's gradients, sums (the
-/// simulated allreduce), then applies one SGD step scaled to the full batch.
-/// Returns the mean loss over the batch. Exposed for the equivalence tests.
-double data_parallel_step(Net& net, SgdOptimizer& opt, const Tensor& batch,
-                          const std::vector<index_t>& labels, index_t workers);
+/// Trains `net` on `data.train` for `config.max_epochs` epochs, evaluating
+/// against `data.test` after each.
+DnnTrainResult train_dnn(Net& net, const CifarData& data,
+                         const DnnTrainConfig& config);
 
 }  // namespace ls

@@ -123,16 +123,6 @@ ScheduleDecision EmpiricalAutotuner::choose(const CooMatrix& x) const {
   for (Format f : candidates) {
     const std::string fname(format_name(f));
     if (!storage_admissible(f, feat)) continue;
-    if (opts_.candidate_bytes_budget > 0) {
-      const double bytes = modeled_storage_words(f, feat) *
-                           static_cast<double>(kRealBytes);
-      if (bytes > static_cast<double>(opts_.candidate_bytes_budget)) {
-        d.dropped.push_back(fname + ": modelled storage " +
-                            std::to_string(bytes) + " B over budget");
-        metrics::counter_add("sched.candidates_dropped_total");
-        continue;
-      }
-    }
     // One failed candidate must not abort the race: a build that throws
     // or runs out of memory is dropped and the remaining candidates keep
     // competing.

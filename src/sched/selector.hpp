@@ -74,9 +74,6 @@ struct AutotuneOptions {
   /// Also consider the derived formats (CSC, HYB) beyond the paper's
   /// five basic formats.
   bool include_extended = false;
-  /// Per-candidate modelled storage budget in bytes (0 = unlimited);
-  /// candidates above it are dropped before any allocation happens.
-  std::size_t candidate_bytes_budget = 0;
 };
 
 /// Measurement-based selector.

@@ -1,6 +1,6 @@
 // Tests for the DNN substrate: tensor indexing, finite-difference gradient
-// checks for every layer, the SGD+momentum update rule (Eqs. 8-9), real
-// training on synthetic data, and the data-parallel equivalence property.
+// checks for every layer, the SGD+momentum update rule (Eqs. 8-9), and real
+// training on synthetic data.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -178,7 +178,6 @@ TEST(ConvGemm, MatchesNaiveConvolutionExactly) {
           << "param " << k << " grad at " << i;
     }
   }
-  EXPECT_DOUBLE_EQ(naive.flops_per_sample(in), gemm.flops_per_sample(in));
 }
 
 TEST(SoftmaxCrossEntropy, LossAndGradientAgainstHandValues) {
@@ -259,22 +258,6 @@ TEST(Sgd, RejectsInvalidHyperParameters) {
 
 // ------------------------------------------------------------------ nets
 
-TEST(Net, Cifar10FullShapeAndFlops) {
-  Rng rng(55);
-  Net net = make_cifar10_full(10, 3, 32, rng);
-  const Tensor in(2, 3, 32, 32);
-  Net& n = net;
-  const Tensor& logits = n.forward(in);
-  EXPECT_EQ(logits.n(), 2);
-  EXPECT_EQ(logits.sample_size(), 10);
-  // cifar10_full forward cost is dominated by the three conv layers:
-  // ~4.9M + ~6.6M + ~6.6M multiply-adds (pool halves spatial dims first).
-  const double flops = net.flops_per_sample();
-  EXPECT_GT(flops, 1e7);
-  EXPECT_LT(flops, 1e8);
-  EXPECT_GT(net.num_parameters(), 50000);
-}
-
 TEST(Net, PredictReturnsArgmaxClass) {
   Rng rng(56);
   Net net = make_cifar10_small(4, 1, 8, rng);
@@ -352,77 +335,39 @@ TEST(Training, SmallNetLearnsSyntheticImages) {
   EXPECT_GT(r.test_accuracy, 0.6);
 }
 
-TEST(Training, TargetAccuracyStopsEarly) {
+TEST(GemmNetFactory, TrainsLikeTheNaiveVariant) {
   CifarConfig cfg;
   cfg.classes = 2;
-  cfg.dim = 8;
-  cfg.train_size = 128;
-  cfg.test_size = 64;
-  cfg.noise = 0.1;  // easy problem
-  cfg.seed = 6;
-  const CifarData data = make_synthetic_cifar(cfg);
-
-  Rng rng(59);
-  Net net = make_cifar10_small(2, 3, 8, rng);
-  DnnTrainConfig train_cfg;
-  train_cfg.batch_size = 32;
-  train_cfg.learning_rate = 0.05;
-  train_cfg.max_epochs = 50;
-  train_cfg.target_accuracy = 0.8;
-  const DnnTrainResult r = train_dnn(net, data, train_cfg);
-  EXPECT_TRUE(r.reached_target);
-  EXPECT_LT(r.epochs_completed, 50);
-}
-
-TEST(Training, DataParallelStepMatchesSingleWorker) {
-  // P workers with gradient averaging must produce the same update as one
-  // worker over the full batch (Section IV-B's claim).
-  CifarConfig cfg;
-  cfg.classes = 3;
   cfg.dim = 8;
   cfg.train_size = 64;
-  cfg.test_size = 16;
-  cfg.seed = 7;
+  cfg.test_size = 32;
+  cfg.noise = 0.3;
   const CifarData data = make_synthetic_cifar(cfg);
+  DnnTrainConfig tc;
+  tc.batch_size = 16;
+  tc.learning_rate = 0.05;
+  tc.max_epochs = 3;
 
-  Tensor batch;
-  std::vector<index_t> labels;
-  data.train.batch(0, 32, batch, labels);
-
-  auto run = [&](index_t workers) {
-    Rng rng(60);  // identical init
-    Net net = make_cifar10_small(3, 3, 8, rng);
-    SgdOptimizer opt(net.params(), 0.01, 0.9);
-    data_parallel_step(net, opt, batch, labels, workers);
-    std::vector<real_t> weights;
-    for (ParamBlob* p : net.params()) {
-      weights.insert(weights.end(), p->value.begin(), p->value.end());
-    }
-    return weights;
-  };
-
-  const auto w1 = run(1);
-  const auto w4 = run(4);
-  ASSERT_EQ(w1.size(), w4.size());
-  for (std::size_t i = 0; i < w1.size(); ++i) {
-    EXPECT_NEAR(w1[i], w4[i], 1e-10);
-  }
-}
-
-TEST(Training, RejectsIndivisibleWorkerCount) {
-  CifarConfig cfg;
-  cfg.classes = 2;
-  cfg.dim = 8;
-  cfg.train_size = 32;
-  cfg.test_size = 8;
-  const CifarData data = make_synthetic_cifar(cfg);
-  Rng rng(61);
-  Net net = make_cifar10_small(2, 3, 8, rng);
-  SgdOptimizer opt(net.params(), 0.01, 0.9);
-  Tensor batch;
-  std::vector<index_t> labels;
-  data.train.batch(0, 10, batch, labels);
-  EXPECT_THROW(data_parallel_step(net, opt, batch, labels, 3), Error);
+  // make_cifar10_small's stack built by hand from naive Conv2d layers, in
+  // the factory's order so both nets draw identical initial weights.
+  Rng rng_a(0xAA), rng_b(0xAA);
+  Net naive;
+  naive.add(std::make_unique<Conv2d>(3, 8, 5, 2, rng_a));
+  naive.add(std::make_unique<MaxPool2d>(2, 2));
+  naive.add(std::make_unique<ReLU>());
+  naive.add(std::make_unique<Conv2d>(8, 8, 5, 2, rng_a));
+  naive.add(std::make_unique<ReLU>());
+  naive.add(std::make_unique<AvgPool2d>(2, 2));
+  naive.add(std::make_unique<Conv2d>(8, 16, 5, 2, rng_a));
+  naive.add(std::make_unique<ReLU>());
+  naive.add(std::make_unique<AvgPool2d>(2, 2));
+  naive.add(std::make_unique<Linear>(16, 2, rng_a));
+  Net gemm = make_cifar10_small(2, 3, 8, rng_b);
+  const DnnTrainResult ra = train_dnn(naive, data, tc);
+  const DnnTrainResult rb = train_dnn(gemm, data, tc);
+  // Identical math, identical shuffling: identical trajectories.
+  EXPECT_NEAR(ra.final_train_loss, rb.final_train_loss, 1e-6);
+  EXPECT_DOUBLE_EQ(ra.test_accuracy, rb.test_accuracy);
 }
 
 TEST(Cifar, GeneratorShapesAndDeterminism) {

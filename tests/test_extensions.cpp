@@ -1,5 +1,5 @@
-// Tests for the extension modules: model serialization, the LRN layer, and
-// the extended-format autotuner path.
+// Tests for the extension modules: model serialization and the
+// extended-format autotuner path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 
 #include "data/profiles.hpp"
 #include "data/synthetic.hpp"
-#include "dnn/net.hpp"
 #include "svm/serialize.hpp"
 #include "svm/trainer.hpp"
 #include "test_util.hpp"
@@ -115,76 +114,6 @@ TEST(Serialize, FileRoundTrip) {
   EXPECT_EQ(back.support_vectors.size(), model.support_vectors.size());
   std::remove(path.c_str());
   EXPECT_THROW(load_model_file(path), Error);
-}
-
-// ----------------------------------------------------------------- LRN
-
-TEST(Lrn, ForwardMatchesHandComputation) {
-  // Single pixel, 3 channels, window 3, alpha 3 (norm = 1), beta 1, k 1:
-  // s_1 = 1 + (a0^2 + a1^2 + a2^2); b_1 = a_1 / s_1.
-  Lrn lrn(3, 3.0, 1.0, 1.0);
-  Tensor in(1, 3, 1, 1);
-  in[0] = 1.0;
-  in[1] = 2.0;
-  in[2] = 3.0;
-  Tensor out = lrn.make_output(in);
-  lrn.forward(in, out);
-  EXPECT_NEAR(out[1], 2.0 / (1.0 + 14.0), 1e-12);
-  // Edge channel 0 sees only channels {0, 1}.
-  EXPECT_NEAR(out[0], 1.0 / (1.0 + 5.0), 1e-12);
-}
-
-TEST(Lrn, GradientCheck) {
-  Lrn lrn(3, 0.5, 0.75, 2.0);
-  Rng rng(84);
-  Tensor in(2, 4, 3, 3);
-  for (index_t i = 0; i < in.size(); ++i) in[i] = rng.uniform(-1.0, 1.0);
-  Tensor out = lrn.make_output(in);
-  std::vector<real_t> c(static_cast<std::size_t>(out.size()));
-  for (auto& v : c) v = rng.uniform(-1.0, 1.0);
-
-  auto loss_of = [&](const Tensor& input) {
-    Tensor o = lrn.make_output(input);
-    lrn.forward(input, o);
-    double loss = 0.0;
-    for (index_t i = 0; i < o.size(); ++i) {
-      loss += 0.5 * c[static_cast<std::size_t>(i)] * o[i] * o[i];
-    }
-    return loss;
-  };
-
-  lrn.forward(in, out);
-  Tensor grad_out = lrn.make_output(in);
-  for (index_t i = 0; i < out.size(); ++i) {
-    grad_out[i] = c[static_cast<std::size_t>(i)] * out[i];
-  }
-  Tensor grad_in(in.n(), in.c(), in.h(), in.w());
-  lrn.backward(in, grad_out, grad_in);
-
-  const double eps = 1e-6;
-  for (index_t i = 0; i < in.size(); i += 7) {
-    const real_t saved = in[i];
-    in[i] = saved + eps;
-    const double up = loss_of(in);
-    in[i] = saved - eps;
-    const double down = loss_of(in);
-    in[i] = saved;
-    const double numeric = (up - down) / (2 * eps);
-    EXPECT_NEAR(grad_in[i], numeric, 1e-5 * (1.0 + std::abs(numeric)))
-        << "at " << i;
-  }
-}
-
-TEST(Lrn, Cifar10FullNowIncludesNormLayers) {
-  Rng rng(85);
-  Net net = make_cifar10_full(10, 3, 32, rng);
-  EXPECT_EQ(net.num_layers(), 12);  // 3 conv + 3 pool + 3 relu + 2 lrn + fc
-  // Still trains a forward/backward pass without shape errors.
-  Tensor in(2, 3, 32, 32);
-  net.forward(in);
-  net.loss({1, 2});
-  net.zero_grad();
-  net.backward(in, {1, 2});
 }
 
 // ----------------------------------------------- extended-format tuning

@@ -1,5 +1,5 @@
 // Fault-tolerance suite: failpoint registry semantics, crash-safe file IO,
-// checkpoint/resume equivalence for the SMO and DNN trainers, scheduler
+// checkpoint/resume equivalence for the SMO trainer, scheduler
 // degradation paths, kernel-cache memory-pressure behaviour, and robust
 // libsvm parsing. Every injected failure uses the named-failpoint registry
 // (common/failpoint.hpp) so the recovery code under test is the real
@@ -21,9 +21,6 @@
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "data/libsvm_io.hpp"
-#include "dnn/cifar.hpp"
-#include "dnn/net.hpp"
-#include "dnn/trainer.hpp"
 #include "sched/scheduler.hpp"
 #include "svm/cache.hpp"
 #include "svm/checkpoint.hpp"
@@ -492,100 +489,6 @@ TEST(SvmCheckpoint, ResumedRunMatchesUninterrupted) {
   EXPECT_FALSE(file_exists(path));
 }
 
-// -------------------------------------------------- DNN checkpoint/resume
-
-std::vector<real_t> flat_weights(Net& net) {
-  std::vector<real_t> w;
-  for (ParamBlob* p : net.params()) {
-    w.insert(w.end(), p->value.begin(), p->value.end());
-  }
-  return w;
-}
-
-TEST(DnnCheckpoint, ResumedRunMatchesUninterrupted) {
-  CifarConfig cfg;
-  cfg.classes = 2;
-  cfg.dim = 8;
-  cfg.train_size = 64;
-  cfg.test_size = 32;
-  cfg.noise = 0.4;
-  cfg.seed = 11;
-  const CifarData data = make_synthetic_cifar(cfg);
-
-  DnnTrainConfig train_cfg;
-  train_cfg.batch_size = 16;
-  train_cfg.learning_rate = 0.05;
-  train_cfg.momentum = 0.9;
-  train_cfg.max_epochs = 3;
-
-  // Reference: three uninterrupted epochs.
-  Rng rng_a(77);
-  Net net_a = make_cifar10_small(cfg.classes, cfg.channels, cfg.dim, rng_a);
-  const DnnTrainResult ref = train_dnn(net_a, data, train_cfg);
-  const std::vector<real_t> ref_w = flat_weights(net_a);
-
-  // Interrupted run: identical init, dies at the top of epoch 2 — after
-  // the epoch-1 snapshot hit disk.
-  const std::string path = tmp_path("dnn_resume.txt");
-  DnnTrainConfig ck_cfg = train_cfg;
-  ck_cfg.checkpoint_path = path;
-  {
-    Rng rng_b(77);
-    Net net_b =
-        make_cifar10_small(cfg.classes, cfg.channels, cfg.dim, rng_b);
-    Spec spec;
-    spec.skip = 2;  // epochs 0 and 1 run, epoch 2 faults
-    Scoped fp("dnn.trainer.epoch", spec);
-    EXPECT_THROW(train_dnn(net_b, data, ck_cfg), Error);
-  }
-  ASSERT_TRUE(file_exists(path));
-  const auto snapshot = try_load_dnn_checkpoint(path);
-  ASSERT_TRUE(snapshot.has_value());
-  EXPECT_EQ(snapshot->epochs_completed, 2);
-
-  // Resume into a DIFFERENT freshly initialised net: restore must replace
-  // every weight, and the shuffle replay must recreate epoch 2's batches.
-  Rng rng_c(4242);
-  Net net_c = make_cifar10_small(cfg.classes, cfg.channels, cfg.dim, rng_c);
-  const DnnTrainResult resumed = train_dnn(net_c, data, ck_cfg);
-  EXPECT_EQ(resumed.epochs_completed, 3);
-  EXPECT_EQ(resumed.iterations, ref.iterations);
-  EXPECT_NEAR(resumed.test_accuracy, ref.test_accuracy, 1e-12);
-
-  const std::vector<real_t> resumed_w = flat_weights(net_c);
-  ASSERT_EQ(resumed_w.size(), ref_w.size());
-  for (std::size_t i = 0; i < ref_w.size(); ++i) {
-    ASSERT_NEAR(resumed_w[i], ref_w[i], 1e-9);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(DnnCheckpoint, CorruptSnapshotIsIgnoredNotFatal) {
-  const std::string path = tmp_path("dnn_corrupt.txt");
-  write_raw(path, "ls_dnn_checkpoint v1\nepochs_completed banana\n");
-  EXPECT_FALSE(try_load_dnn_checkpoint(path).has_value());
-  EXPECT_THROW(load_dnn_checkpoint(path), Error);
-
-  // A training run pointed at the corrupt file starts fresh and replaces it.
-  CifarConfig cfg;
-  cfg.classes = 2;
-  cfg.dim = 8;
-  cfg.train_size = 32;
-  cfg.test_size = 16;
-  cfg.seed = 12;
-  const CifarData data = make_synthetic_cifar(cfg);
-  Rng rng(13);
-  Net net = make_cifar10_small(cfg.classes, cfg.channels, cfg.dim, rng);
-  DnnTrainConfig train_cfg;
-  train_cfg.batch_size = 16;
-  train_cfg.max_epochs = 1;
-  train_cfg.checkpoint_path = path;
-  const DnnTrainResult r = train_dnn(net, data, train_cfg);
-  EXPECT_EQ(r.epochs_completed, 1);
-  EXPECT_TRUE(try_load_dnn_checkpoint(path).has_value());
-  std::remove(path.c_str());
-}
-
 // ------------------------------------------------- scheduler degradation
 
 CooMatrix random_sparse(index_t rows, index_t cols, double density,
@@ -623,17 +526,6 @@ TEST(SchedDegrade, SchedulerFallsBackToHeuristicWhenAllCandidatesFail) {
   // The decision is still actionable: the chosen format materialises.
   const AnyMatrix mat = sched.materialize(x, d);
   EXPECT_EQ(mat.rows(), 60);
-}
-
-TEST(SchedDegrade, BytesBudgetDropsCandidatesWithNotes) {
-  const CooMatrix x = random_sparse(60, 40, 0.2, 0xD3);
-  SchedulerOptions opts;
-  opts.autotune.candidate_bytes_budget = 1;  // nothing fits
-  const LayoutScheduler sched(opts);
-  const ScheduleDecision d = sched.decide(x);
-  EXPECT_TRUE(d.degraded);
-  EXPECT_FALSE(d.dropped.empty());
-  EXPECT_NE(d.dropped.front().find("budget"), std::string::npos);
 }
 
 TEST(SchedDegrade, MaterializeFallsBackToCsr) {

@@ -1,6 +1,5 @@
 // Stress and failure-injection tests: adversarial matrix structures
-// through every format, degenerate solver inputs, and the upgraded SGD
-// options (weight decay, LR schedule).
+// through every format and degenerate solver inputs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,8 +7,6 @@
 #include "data/profiles.hpp"
 #include "data/features.hpp"
 #include "data/scaling.hpp"
-#include "dnn/net.hpp"
-#include "dnn/trainer.hpp"
 #include "svm/trainer.hpp"
 #include "test_util.hpp"
 
@@ -307,60 +304,6 @@ TEST(Scaling, CustomRangeAndUnseenColumns) {
   // Column index beyond the fitted width passes through unchanged.
   EXPECT_DOUBLE_EQ(params.scale_value(99, 7.0), 7.0);
   EXPECT_THROW(fit_scaling(ds, 1.0, 1.0), Error);
-}
-
-// --------------------------------------------- SGD solver refinements
-
-TEST(SgdRefinements, WeightDecayShrinksWeightsWithZeroGradient) {
-  ParamBlob p;
-  p.value = {10.0};
-  p.grad = {0.0};
-  SgdOptimizer opt({&p}, 0.1, 0.0, /*weight_decay=*/0.5);
-  opt.step();  // v = -0.1 * (0 + 0.5 * 10) = -0.5
-  EXPECT_NEAR(p.value[0], 9.5, 1e-15);
-}
-
-TEST(SgdRefinements, ZeroWeightDecayMatchesPlainUpdate) {
-  ParamBlob a, b;
-  a.value = b.value = {2.0};
-  a.grad = b.grad = {1.0};
-  SgdOptimizer plain({&a}, 0.1, 0.9);
-  SgdOptimizer decayed({&b}, 0.1, 0.9, 0.0);
-  plain.step();
-  decayed.step();
-  EXPECT_DOUBLE_EQ(a.value[0], b.value[0]);
-}
-
-TEST(SgdRefinements, RejectsNegativeWeightDecay) {
-  ParamBlob p;
-  p.value = {0.0};
-  p.grad = {0.0};
-  EXPECT_THROW(SgdOptimizer({&p}, 0.1, 0.5, -0.1), Error);
-}
-
-TEST(SgdRefinements, LrScheduleDropsAtConfiguredEpochs) {
-  // 4 epochs with a drop every 2: lr halves once after epoch 2. We verify
-  // via the training loop completing and the net still learning (the
-  // schedule itself is exercised; exact lr is internal to the loop).
-  CifarConfig cfg;
-  cfg.classes = 2;
-  cfg.dim = 8;
-  cfg.train_size = 64;
-  cfg.test_size = 32;
-  cfg.noise = 0.3;
-  const CifarData data = make_synthetic_cifar(cfg);
-  Rng rng(0x11E);
-  Net net = make_cifar10_small(2, 3, 8, rng);
-  DnnTrainConfig tc;
-  tc.batch_size = 16;
-  tc.learning_rate = 0.05;
-  tc.weight_decay = 0.004;  // Caffe cifar10_full's value
-  tc.lr_drop_every_epochs = 2;
-  tc.lr_drop_factor = 0.5;
-  tc.max_epochs = 4;
-  const DnnTrainResult r = train_dnn(net, data, tc);
-  EXPECT_EQ(r.epochs_completed, 4);
-  EXPECT_GT(r.test_accuracy, 0.5);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the SVM library: kernel functions (Table I), kernel-row
 // engines, the LRU cache, the SMO solver's analytic solutions and KKT
-// conditions, model extraction/prediction, the trainers and multiclass.
+// conditions, model extraction/prediction, the trainers, multiclass and the
+// SMO convergence trace hook.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -522,6 +523,48 @@ TEST(Multiclass, RequiresAtLeastTwoClasses) {
   Dataset ds{"one", CooMatrix(2, 1, {{0, 0, 1.0}, {1, 0, 2.0}}), {1.0, 1.0}};
   SvmParams params;
   EXPECT_THROW(train_one_vs_one(ds, params), Error);
+}
+
+// ---------------------------------------------------------- SMO trace
+
+TEST(SmoTrace, GapShrinksAndObjectiveGrows) {
+  Rng rng(0xA8);
+  Dataset ds;
+  ds.name = "trace";
+  ds.X = test::random_matrix(60, 8, 0.5, rng);
+  ds.y = plant_labels(ds.X, 0.05, 50);
+
+  std::vector<IterationTrace> traces;
+  SvmParams params;
+  params.on_trace = [&](const IterationTrace& t) { traces.push_back(t); };
+  const TrainResult r = train_fixed_format(ds, params, Format::kCSR);
+  ASSERT_TRUE(r.stats.converged);
+  ASSERT_GE(traces.size(), 3u);
+
+  // Dual objective is non-decreasing (each analytic step improves it).
+  for (std::size_t k = 1; k < traces.size(); ++k) {
+    EXPECT_GE(traces[k].objective, traces[k - 1].objective - 1e-9);
+  }
+  // The optimality gap ends below the start and under 2 * tolerance + eps.
+  EXPECT_LT(traces.back().gap(), traces.front().gap());
+  // Iterations are labelled 1..N.
+  EXPECT_EQ(traces.front().iteration, 1);
+  EXPECT_EQ(traces.back().iteration,
+            static_cast<index_t>(traces.size()));
+}
+
+TEST(SmoTrace, IntervalThinsTheTrace) {
+  Rng rng(0xA9);
+  Dataset ds;
+  ds.name = "thin";
+  ds.X = test::random_matrix(50, 6, 0.5, rng);
+  ds.y = plant_labels(ds.X, 0.05, 51);
+  index_t calls = 0;
+  SvmParams params;
+  params.on_trace = [&](const IterationTrace&) { ++calls; };
+  params.trace_interval = 10;
+  const TrainResult r = train_fixed_format(ds, params, Format::kCSR);
+  EXPECT_LE(calls, r.stats.iterations / 10 + 1);
 }
 
 }  // namespace
