@@ -18,7 +18,8 @@
 namespace ls {
 
 /// GEMM-lowered 2-D convolution, stride 1, symmetric zero padding.
-/// Drop-in replacement for Conv2d (same parameters, same outputs).
+/// Drop-in replacement for Conv2d (same parameters, same outputs). The nets
+/// build Conv2d; this layer is bench/ablation_conv_gemm's subject.
 class Conv2dGemm : public Layer {
  public:
   Conv2dGemm(index_t in_channels, index_t out_channels, index_t kernel,

@@ -44,9 +44,7 @@ class Layer {
   virtual std::vector<ParamBlob*> params() { return {}; }
 };
 
-/// 2-D convolution, stride 1, symmetric zero padding, as direct loops.
-/// The nets build Conv2dGemm (dnn/conv_gemm.hpp); this is the reference it
-/// is tested against and the baseline of bench/ablation_conv_gemm.
+/// 2-D convolution, stride 1, symmetric zero padding.
 class Conv2d : public Layer {
  public:
   Conv2d(index_t in_channels, index_t out_channels, index_t kernel,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "dnn/conv_gemm.hpp"
 
 namespace ls {
 
@@ -83,13 +82,13 @@ std::vector<index_t> Net::predict() const {
 Net make_cifar10_small(index_t classes, index_t channels, index_t dim,
                        Rng& rng) {
   Net net;
-  net.add(std::make_unique<Conv2dGemm>(channels, 8, 5, 2, rng));
+  net.add(std::make_unique<Conv2d>(channels, 8, 5, 2, rng));
   net.add(std::make_unique<MaxPool2d>(2, 2));
   net.add(std::make_unique<ReLU>());
-  net.add(std::make_unique<Conv2dGemm>(8, 8, 5, 2, rng));
+  net.add(std::make_unique<Conv2d>(8, 8, 5, 2, rng));
   net.add(std::make_unique<ReLU>());
   net.add(std::make_unique<AvgPool2d>(2, 2));
-  net.add(std::make_unique<Conv2dGemm>(8, 16, 5, 2, rng));
+  net.add(std::make_unique<Conv2d>(8, 16, 5, 2, rng));
   net.add(std::make_unique<ReLU>());
   net.add(std::make_unique<AvgPool2d>(2, 2));
   const index_t spatial = dim / 8;

@@ -48,8 +48,7 @@ class Net {
 /// Caffe's examples/cifar10/cifar10_full_train_test.prototxt (three
 /// conv5x5(pad 2) + pool + ReLU stages and a fully connected classifier)
 /// with 8/8/16 filters instead of 32/32/64 and no LRN layers, for
-/// `classes` classes on inputs of shape (channels, dim, dim). Convolutions
-/// are GEMM-lowered (dnn/conv_gemm.hpp).
+/// `classes` classes on inputs of shape (channels, dim, dim).
 Net make_cifar10_small(index_t classes, index_t channels, index_t dim,
                        Rng& rng);
 

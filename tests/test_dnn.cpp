@@ -348,21 +348,21 @@ TEST(GemmNetFactory, TrainsLikeTheNaiveVariant) {
   tc.learning_rate = 0.05;
   tc.max_epochs = 3;
 
-  // make_cifar10_small's stack built by hand from naive Conv2d layers, in
-  // the factory's order so both nets draw identical initial weights.
+  // make_cifar10_small's stack built by hand from GEMM-lowered conv layers,
+  // in the factory's order so both nets draw identical initial weights.
   Rng rng_a(0xAA), rng_b(0xAA);
-  Net naive;
-  naive.add(std::make_unique<Conv2d>(3, 8, 5, 2, rng_a));
-  naive.add(std::make_unique<MaxPool2d>(2, 2));
-  naive.add(std::make_unique<ReLU>());
-  naive.add(std::make_unique<Conv2d>(8, 8, 5, 2, rng_a));
-  naive.add(std::make_unique<ReLU>());
-  naive.add(std::make_unique<AvgPool2d>(2, 2));
-  naive.add(std::make_unique<Conv2d>(8, 16, 5, 2, rng_a));
-  naive.add(std::make_unique<ReLU>());
-  naive.add(std::make_unique<AvgPool2d>(2, 2));
-  naive.add(std::make_unique<Linear>(16, 2, rng_a));
-  Net gemm = make_cifar10_small(2, 3, 8, rng_b);
+  Net naive = make_cifar10_small(2, 3, 8, rng_a);
+  Net gemm;
+  gemm.add(std::make_unique<Conv2dGemm>(3, 8, 5, 2, rng_b));
+  gemm.add(std::make_unique<MaxPool2d>(2, 2));
+  gemm.add(std::make_unique<ReLU>());
+  gemm.add(std::make_unique<Conv2dGemm>(8, 8, 5, 2, rng_b));
+  gemm.add(std::make_unique<ReLU>());
+  gemm.add(std::make_unique<AvgPool2d>(2, 2));
+  gemm.add(std::make_unique<Conv2dGemm>(8, 16, 5, 2, rng_b));
+  gemm.add(std::make_unique<ReLU>());
+  gemm.add(std::make_unique<AvgPool2d>(2, 2));
+  gemm.add(std::make_unique<Linear>(16, 2, rng_b));
   const DnnTrainResult ra = train_dnn(naive, data, tc);
   const DnnTrainResult rb = train_dnn(gemm, data, tc);
   // Identical math, identical shuffling: identical trajectories.
