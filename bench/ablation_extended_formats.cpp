@@ -1,6 +1,6 @@
-// Ablation: do the derived formats (CSC, HYB — Section III-A's "other
+// Ablation: does the derived format (HYB — one of Section III-A's "other
 // storage formats") ever beat the basic five? Measures the SMSV cost of
-// all seven formats on structures chosen to favour each candidate, and
+// all six formats on structures chosen to favour each candidate, and
 // records what the extended autotuner picks (the `picked` CSV column).
 // Docs on removing a format that never wins: docs/adding_a_format.md.
 #include <array>
@@ -29,25 +29,12 @@ CooMatrix make_block_chain(index_t blocks, Rng& rng) {
   return CooMatrix(blocks * 4, blocks * 4, std::move(t));
 }
 
-/// Column-concentrated matrix: most nonzeros live in a few hot columns, so
-/// a sparse right-hand side lets CSC skip nearly everything.
-CooMatrix make_hot_columns(index_t m, index_t n, Rng& rng) {
-  std::vector<Triplet> t;
-  for (index_t i = 0; i < m; ++i) {
-    for (index_t c = 0; c < 8; ++c) {
-      t.push_back({i, c, rng.uniform(0.1, 1.0)});  // 8 hot columns
-    }
-    t.push_back({i, rng.uniform_int(8, n - 1), rng.uniform(0.1, 1.0)});
-  }
-  return CooMatrix(m, n, std::move(t));
-}
-
 }  // namespace
 
 int main() {
   using namespace ls;
   bench::banner("Ablation: extended formats",
-                "CSC and HYB vs the paper's basic five");
+                "HYB vs the paper's basic five");
 
   Rng rng(0xE87E);
   struct Workload {
@@ -56,8 +43,6 @@ int main() {
   };
   std::vector<Workload> workloads;
   workloads.push_back({"block chain (4x4 tiles)", make_block_chain(512, rng)});
-  workloads.push_back({"hot columns (8 of 2048)",
-                       make_hot_columns(2048, 2048, rng)});
   {
     std::vector<index_t> lens(2048, 16);
     workloads.push_back({"scattered sparse",
@@ -66,7 +51,7 @@ int main() {
   workloads.push_back({"banded (5 diagonals)",
                        make_banded(2048, 2048, {0, 1, -1, 2, -2}, 1.0, rng)});
 
-  Table table({"Workload", "DEN", "CSR", "COO", "ELL", "DIA", "CSC", "HYB",
+  Table table({"Workload", "DEN", "CSR", "COO", "ELL", "DIA", "HYB",
                "autotune pick"});
   CsvWriter csv(bench::csv_path("ablation_extended_formats"),
                 {"workload", "format", "seconds", "picked"});
@@ -92,11 +77,7 @@ int main() {
     table.add_row(row);
   }
   std::printf("%s\n", table.str().c_str());
-  std::printf(
-      "CSC pays off when the SMSV right-hand side is sparse (it skips "
-      "every column\noutside the gathered row's support — a structural win "
-      "the paper's five formats\ncannot express); HYB bounds ELL's padding "
-      "under skewed rows.\n");
+  std::printf("HYB bounds ELL's padding under skewed rows.\n");
   bench::finish(csv, "ablation_extended_formats");
   return 0;
 }

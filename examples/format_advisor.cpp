@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   cli.add_flag("file", "", "libsvm-format input file (overrides --dataset)");
   cli.add_flag("dataset", "mnist", "Table V profile name when no --file");
   cli.add_flag("extended", "false",
-               "also consider the derived formats (CSC/HYB)");
+               "also consider the derived format (HYB)");
   add_observability_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
   const ObservabilityScope observability(cli);

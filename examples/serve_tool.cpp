@@ -100,8 +100,7 @@ int run(int argc, char** argv) {
   cli.add_flag("policy", "empirical",
                "layout policy: empirical|heuristic|fixed");
   cli.add_flag("fixed-format", "CSR",
-               "layout used when --policy fixed (DEN|CSR|COO|ELL|DIA|CSC|"
-               "HYB)");
+               "layout used when --policy fixed (DEN|CSR|COO|ELL|DIA|HYB)");
   cli.add_flag("reschedule", "false",
                "enable the online layout bandit: sample live per-layout "
                "timings and re-materialise models in a decisively better "
@@ -119,8 +118,7 @@ int run(int argc, char** argv) {
   cli.add_flag("reschedule-hysteresis-ms", "500",
                "minimum dwell time between switches of the same model");
   cli.add_flag("reschedule-extended", "false",
-               "bandit arms cover all seven formats instead of the basic "
-               "five");
+               "bandit arms cover the basic five formats plus HYB");
   ls::add_observability_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
   const ls::ObservabilityScope observability(cli);

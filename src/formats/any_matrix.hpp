@@ -1,5 +1,5 @@
 // Runtime-polymorphic matrix: the object the layout scheduler actually
-// hands to the SVM solver. A std::variant over the seven concrete formats
+// hands to the SVM solver. A std::variant over the six concrete formats
 // keeps dispatch branch-predictable (no virtual calls in the SMSV loop —
 // one visit per multiply, not per element).
 #pragma once
@@ -11,7 +11,6 @@
 #include "common/parallel.hpp"
 #include "common/types.hpp"
 #include "formats/coo.hpp"
-#include "formats/csc.hpp"
 #include "formats/csr.hpp"
 #include "formats/dense.hpp"
 #include "formats/dia.hpp"
@@ -31,7 +30,6 @@ class AnyMatrix {
   AnyMatrix(CooMatrix m) : m_(std::move(m)) {}
   AnyMatrix(EllMatrix m) : m_(std::move(m)) {}
   AnyMatrix(DiaMatrix m) : m_(std::move(m)) {}
-  AnyMatrix(CscMatrix m) : m_(std::move(m)) {}
   AnyMatrix(HybMatrix m) : m_(std::move(m)) {}
 
   /// Materialises `coo` in the requested storage format.
@@ -42,7 +40,6 @@ class AnyMatrix {
       case Format::kCOO: return AnyMatrix(coo);
       case Format::kELL: return AnyMatrix(EllMatrix(coo));
       case Format::kDIA: return AnyMatrix(DiaMatrix(coo));
-      case Format::kCSC: return AnyMatrix(CscMatrix(coo));
       case Format::kHYB: return AnyMatrix(HybMatrix(coo));
     }
     throw Error("from_coo: invalid format");
@@ -79,8 +76,8 @@ class AnyMatrix {
   /// Batched SMSV: Y = A * W for `b` interleaved right-hand sides
   /// (W[j*b + k] = entry j of rhs k, Y[i*b + k] likewise). One traversal of
   /// the stored matrix serves all b vectors; each output element accumulates
-  /// in the same order as multiply_dense, so results match the single-rhs
-  /// loop to within at most a -0.0 vs +0.0 difference (CSC dead columns).
+  /// in the same order as multiply_dense, so each lane is bit-identical to
+  /// the single-rhs product.
   void multiply_dense_batch(std::span<const real_t> w, index_t b,
                             std::span<real_t> y) const {
     LS_CHECK(b >= 1 && b <= kMaxSmsvBatch,
@@ -143,7 +140,7 @@ class AnyMatrix {
 
  private:
   std::variant<DenseMatrix, CsrMatrix, CooMatrix, EllMatrix, DiaMatrix,
-               CscMatrix, HybMatrix>
+               HybMatrix>
       m_;
 };
 

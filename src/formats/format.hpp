@@ -3,9 +3,9 @@
 // The five *basic* formats are the ones the paper studies (Section III):
 // DEN (dense), CSR (compressed sparse row), COO (coordinate),
 // ELL (ELLPACK/ITPACK) and DIA (diagonal). The paper notes that "most of
-// the other storage formats can be derived from these basic formats" and
-// names CSC as an example. CSC and HYB are implemented as *extended*
-// formats: the empirical autotuner can consider them, while the paper-
+// the other storage formats can be derived from these basic formats".
+// HYB (an ELL slab plus COO overflow) is implemented as an *extended*
+// format: the empirical autotuner can consider it, while the paper-
 // reproduction benches stick to the basic five.
 #pragma once
 
@@ -26,9 +26,8 @@ enum class Format : int {
   kELL = 3,
   kDIA = 4,
   // Derived formats (Section III-A's "other storage formats").
-  kCSC = 5,
-  // 6 was BCSR and 8 was JDS (both removed). Freed values are not reused,
-  // so every other format keeps the value it always had.
+  // 5 was CSC, 6 was BCSR and 8 was JDS (all removed). Freed values are not
+  // reused, so every other format keeps the value it always had.
   kHYB = 7,
 };
 
@@ -41,7 +40,8 @@ inline constexpr int kNumBasicFormats = 5;
 inline constexpr int kMaxSmsvBatch = 64;
 
 /// One past the largest Format value: the size of arrays indexed by Format.
-/// Larger than the number of formats by the freed value 6 (see Format).
+/// Larger than the number of formats by the freed values 5 and 6 (see
+/// Format).
 inline constexpr int kNumFormats = 8;
 
 /// The paper's basic formats in Table II column order (DEN CSR COO ELL DIA).
@@ -49,9 +49,9 @@ inline constexpr std::array<Format, kNumBasicFormats> kAllFormats = {
     Format::kDEN, Format::kCSR, Format::kCOO, Format::kELL, Format::kDIA};
 
 /// Every supported format, basic + derived.
-inline constexpr std::array<Format, 7> kExtendedFormats = {
-    Format::kDEN, Format::kCSR, Format::kCOO, Format::kELL,
-    Format::kDIA, Format::kCSC, Format::kHYB};
+inline constexpr std::array<Format, 6> kExtendedFormats = {
+    Format::kDEN, Format::kCSR, Format::kCOO,
+    Format::kELL, Format::kDIA, Format::kHYB};
 
 /// Short upper-case name as printed in the paper's tables.
 constexpr std::string_view format_name(Format f) {
@@ -61,7 +61,6 @@ constexpr std::string_view format_name(Format f) {
     case Format::kCOO: return "COO";
     case Format::kELL: return "ELL";
     case Format::kDIA: return "DIA";
-    case Format::kCSC: return "CSC";
     case Format::kHYB: return "HYB";
   }
   return "???";
@@ -73,7 +72,7 @@ inline Format parse_format(std::string_view name) {
     if (format_name(f) == name) return f;
   }
   throw Error("unknown format name: '" + std::string(name) +
-              "' (expected DEN, CSR, COO, ELL, DIA, CSC or HYB)");
+              "' (expected DEN, CSR, COO, ELL, DIA or HYB)");
 }
 
 }  // namespace ls

@@ -41,9 +41,6 @@ inline index_t storage_words(Format f, const StorageShape& s) {
     case Format::kDIA:
       // padded stripes of length min(M, N) + offsets array.
       return s.ndig * std::min(s.rows, s.cols) + s.ndig;
-    case Format::kCSC:
-      // data + row indices + column pointer.
-      return 2 * s.nnz + s.cols + 1;
     case Format::kHYB:
       // padded slab (values + cols) + per-row occupancy + overflow triples.
       return 2 * s.rows * s.hyb_width + s.rows + 3 * s.hyb_overflow;
@@ -60,7 +57,6 @@ inline index_t storage_words_min(Format f, index_t m, index_t n) {
     case Format::kCOO: return 1;            // O(1): empty arrays
     case Format::kELL: return 2 * m;        // O(2M): mdim = 1
     case Format::kDIA: return m + 1;        // O(M + 1): one diagonal
-    case Format::kCSC: return n + 2;        // empty data, ptr only
     case Format::kHYB: return 3 * m + 3;  // width-1 slab + occupancy
   }
   return 0;
@@ -79,7 +75,6 @@ inline index_t storage_words_max(Format f, index_t m, index_t n) {
     case Format::kDIA:
       // (min(M,N) + 1) * (M + N - 1): every diagonal occupied.
       return (std::min(m, n) + 1) * (m + n - 1);
-    case Format::kCSC: return 2 * m * n + n + 1;
     case Format::kHYB:
       // Dense: slab width n, no overflow, plus the occupancy array.
       return 2 * m * n + m;

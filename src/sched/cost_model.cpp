@@ -27,10 +27,6 @@ double modeled_flops(Format f, const MatrixFeatures& feat) {
     case Format::kELL: return m * static_cast<double>(feat.mdim);
     case Format::kDIA:
       return static_cast<double>(feat.ndig) * std::min(m, n);
-    case Format::kCSC:
-      // Only columns in the sparse right-hand side's support run, but the
-      // support is unknown until runtime; model the dense-rhs upper bound.
-      return nnz;
     case Format::kHYB:
       // Auto-width slab (width = ceil(adim)): padding is bounded by ~M and
       // the overflow adds no padding at all.
@@ -51,8 +47,6 @@ double modeled_bytes(Format f, const MatrixFeatures& feat) {
     case Format::kELL: return flops * (vb + ib);       // padded value + col
     case Format::kDIA:
       return flops * vb + static_cast<double>(feat.ndig) * ib;
-    case Format::kCSC:
-      return flops * (vb + ib) + (static_cast<double>(feat.n) + 1) * ib;
     case Format::kHYB:
       return flops * (vb + ib) + m * ib;  // + per-row occupancy
   }
@@ -98,7 +92,6 @@ CostCalibration CostCalibration::measure() {
     time_format(sparse, Format::kCOO);
     time_format(sparse, Format::kELL);
     time_format(banded, Format::kDIA);
-    time_format(sparse, Format::kCSC);
     time_format(sparse, Format::kHYB);
   }
 
@@ -187,8 +180,9 @@ CostPrediction predict_cost(const MatrixFeatures& feat,
   p.simd_level = cal.simd_level();
   p.vector_width = cal.vector_width();
   p.gather_cost_ratio = cal.gather_cost_ratio();
-  // All seven formats, not just the paper's five: the bandit's arm set is
-  // configurable and a prior of 0.0 would read as "free".
+  // Every format, the derived HYB included, not just the paper's five: the
+  // bandit's arm set is configurable and a prior of 0.0 would read as
+  // "free".
   for (Format f : kExtendedFormats) {
     const auto i = static_cast<std::size_t>(f);
     p.flops[i] = modeled_flops(f, feat);

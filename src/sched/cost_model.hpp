@@ -114,7 +114,7 @@ class CostCalibration {
   double stream_seconds_per_elem_ = 1.0;
 };
 
-/// Full prediction for every format, the extended ones included (the
+/// Full prediction for every format, the extended HYB included (the
 /// heuristic selector ranks only the paper's five). Throws when `cal` was
 /// measured under a dispatch level other than the active one (stale-ISA
 /// calibration) — refit via CostCalibration::instance() after a level

@@ -10,7 +10,6 @@ namespace ls {
 
 std::vector<double> per_row_ops(Format f, const std::vector<index_t>& row_nnz,
                                 index_t n) {
-  const index_t m = static_cast<index_t>(row_nnz.size());
   std::vector<double> ops(row_nnz.size());
   switch (f) {
     case Format::kDEN:
@@ -36,14 +35,10 @@ std::vector<double> per_row_ops(Format f, const std::vector<index_t>& row_nnz,
       }
       break;
     case Format::kDIA:
-    case Format::kCSC: {
-      // Not row-decomposable (DIA splits by stripe, CSC by column with
-      // scatter conflicts); callers use the dedicated paths in
-      // simulate_makespan.
-      (void)m;
+      // Not row-decomposable (it splits by stripe); callers use the
+      // dedicated path in simulate_makespan.
       std::fill(ops.begin(), ops.end(), 0.0);
       break;
-    }
   }
   return ops;
 }
@@ -74,13 +69,6 @@ MakespanResult simulate_makespan(Format f,
     for (index_t l : row_nnz) total += static_cast<double>(l);
     r.total_ops = total;
     r.critical_ops = std::ceil(total / threads);
-  } else if (f == Format::kCSC) {
-    // Column-outer scatter updates conflict on y; without atomics the
-    // kernel is serial, so the critical path is the whole multiply.
-    double total = 0.0;
-    for (index_t l : row_nnz) total += static_cast<double>(l);
-    r.total_ops = total;
-    r.critical_ops = total;
   } else {
     // Row-parallel static blocks (DEN, CSR, ELL).
     const std::vector<double> ops = per_row_ops(f, row_nnz, n);

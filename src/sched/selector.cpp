@@ -103,9 +103,11 @@ ScheduleDecision EmpiricalAutotuner::choose(const CooMatrix& x) const {
             static_cast<double>(opts_.sample_rows);
   }
 
-  // Workspace seeded with a real gathered row — the SMSV right-hand side in
-  // SMO is always a row of the matrix, so the probe multiplies match the
-  // training access pattern exactly.
+  // Workspace seeded with a real gathered row, as in SMO. The probe times
+  // the multiply without the gather_row SMO runs first (compute_row); that
+  // ranks formats as SMO does only because every format gathers in O(row),
+  // O(row + log nnz) (COO, HYB's overflow) or O(ndig) (DIA), a small share
+  // of its multiply.
   std::vector<real_t> w(static_cast<std::size_t>(probe->cols()), 0.0);
   std::vector<real_t> y(static_cast<std::size_t>(probe->rows()), 0.0);
   Rng rng(0x5E1EC7ull);

@@ -71,8 +71,8 @@ struct AutotuneOptions {
   /// contiguous row window preserves the diagonal / row-length structure
   /// that drives DIA and ELL costs.
   index_t sample_rows = 2048;
-  /// Also consider the derived formats (CSC, HYB) beyond the paper's
-  /// five basic formats.
+  /// Also consider the derived format (HYB) beyond the paper's five basic
+  /// formats.
   bool include_extended = false;
 };
 

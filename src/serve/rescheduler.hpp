@@ -69,7 +69,7 @@ struct ReschedulerOptions {
   /// UCB1 exploration weight c: the bonus is c * prior_scale *
   /// sqrt(ln(total_pulls) / arm_pulls). 0 = pure exploitation.
   double ucb_exploration = 0.25;
-  /// Candidate arms: the paper's five basic formats, or all seven.
+  /// Candidate arms: the paper's five basic formats, or those plus HYB.
   bool include_extended = false;
 };
 

@@ -5,9 +5,9 @@
 // column/row, all-zero.
 //
 // Two comparison regimes:
-//  * format vs oracle: accumulation ORDER differs by format (CSC folds in
-//    column order, DIA in stripe order, ...), so results are compared with
-//    the ULP-aware helper;
+//  * format vs oracle: accumulation ORDER differs by format (DIA folds in
+//    stripe order, the SIMD row dots in lane order, ...), so results are
+//    compared with the ULP-aware helper;
 //  * batched vs single-rhs: every multiply_dense_batch implementation
 //    mirrors its format's multiply_dense traversal per output element, so
 //    lane k of a batched product must be BIT-identical to the single-rhs
@@ -141,7 +141,7 @@ TEST(Differential, MultiplyMatchesOracleAllFormats) {
 
 TEST(Differential, MultiplyWithSparseRhsMatchesOracle) {
   // The SMO workspace is a scattered matrix row: mostly exact zeros. This
-  // drives the CSC dead-column skip and the zero-product paths.
+  // drives the zero-product paths.
   for_each_case_and_format([](const MatrixCase& c, const AnyMatrix& mat) {
     Rng rng(0x5A5Aull);
     std::vector<real_t> w(static_cast<std::size_t>(mat.cols()), 0.0);
@@ -187,9 +187,10 @@ TEST(Differential, BatchLaneBitIdenticalToSingleMaxBatch) {
 }
 
 TEST(Differential, BatchWithSparseLanesMatchesOracle) {
-  // Lanes with exact zeros: the batched CSC column skip only fires when
-  // ALL lanes are zero in that column, which must not change any lane's
-  // value beyond accumulation-order noise.
+  // Lanes with exact zeros — the shape SMO and the serving batcher send.
+  // Each lane must match the oracle up to accumulation order, and be
+  // bit-identical to the single-rhs product of that lane (signed zeros
+  // included).
   for_each_case_and_format([](const MatrixCase& c, const AnyMatrix& mat) {
     Rng rng(0x0FF5ull);
     constexpr std::size_t b = 4;
@@ -203,9 +204,12 @@ TEST(Differential, BatchWithSparseLanesMatchesOracle) {
     const std::vector<real_t> w = interleave(lanes);
     std::vector<real_t> y(static_cast<std::size_t>(mat.rows()) * b);
     mat.multiply_dense_batch(w, static_cast<index_t>(b), y);
+    std::vector<real_t> single(static_cast<std::size_t>(mat.rows()));
     for (std::size_t k = 0; k < b; ++k) {
       test::expect_ulp_near(lane(y, b, k),
                             test::reference_multiply(c.coo, lanes[k]));
+      mat.multiply_dense(lanes[k], single);
+      test::expect_bit_identical(lane(y, b, k), single);
     }
   });
 }

@@ -122,33 +122,6 @@ TEST(Format, NamesRoundTrip) {
   EXPECT_THROW(parse_format("BOGUS"), Error);
 }
 
-TEST(Csc, ColumnStructureMatchesSource) {
-  CooMatrix coo(3, 4, {{0, 1, 1.0}, {0, 3, 2.0}, {2, 1, 3.0}});
-  CscMatrix csc(coo);
-  EXPECT_EQ(csc.col_nnz(0), 0);
-  EXPECT_EQ(csc.col_nnz(1), 2);
-  EXPECT_EQ(csc.col_nnz(3), 1);
-  EXPECT_EQ(csc.col_ptr().size(), 5u);
-  // Rows within a column are sorted ascending.
-  EXPECT_EQ(csc.row_indices()[0], 0);
-  EXPECT_EQ(csc.row_indices()[1], 2);
-}
-
-TEST(Csc, SkipsZeroColumnsOfSparseRhs) {
-  // A matrix where column 0 holds almost everything; multiplying by a
-  // workspace that is zero there must still be correct.
-  std::vector<Triplet> t;
-  for (index_t i = 0; i < 50; ++i) t.push_back({i, 0, 1.0});
-  t.push_back({7, 3, 2.0});
-  CooMatrix coo(50, 4, std::move(t));
-  CscMatrix csc(coo);
-  std::vector<real_t> w = {0.0, 0.0, 0.0, 5.0};
-  std::vector<real_t> y(50, -1.0);
-  csc.multiply_dense(w, y);
-  EXPECT_DOUBLE_EQ(y[7], 10.0);
-  EXPECT_DOUBLE_EQ(y[0], 0.0);
-}
-
 TEST(Hyb, AutoWidthIsCeilOfMeanRowLength) {
   // 4 rows with lengths {1, 1, 2, 4}: nnz = 8, mean = 2 -> width 2 and
   // the length-4 row spills 2 entries into the COO overflow.

@@ -197,12 +197,16 @@ TEST(Scheduler, RemovedPolicyAndFormatNamesAreRejected) {
     EXPECT_STREQ(e.what(), "unknown schedule policy 'learned' (expected "
                            "empirical, heuristic or fixed)");
   }
-  try {
-    (void)parse_format("BCSR");
-    FAIL() << "parse_format accepted 'BCSR'";
-  } catch (const Error& e) {
-    EXPECT_STREQ(e.what(), "unknown format name: 'BCSR' (expected DEN, CSR, "
-                           "COO, ELL, DIA, CSC or HYB)");
+  // Removed formats are rejected like any other unknown name.
+  for (const char* name : {"BCSR", "CSC"}) {
+    try {
+      (void)parse_format(name);
+      FAIL() << "parse_format accepted '" << name << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "unknown format name: '" + std::string(name) +
+                    "' (expected DEN, CSR, COO, ELL, DIA or HYB)");
+    }
   }
 }
 
