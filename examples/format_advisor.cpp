@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
       std::printf(" %s=%s", std::string(format_name(fmt)).c_str(),
                   fmt_seconds(s).c_str());
     } else {
-      std::printf(" %s=(skipped)", std::string(format_name(fmt)).c_str());
+      std::printf(" %s=(not raced)", std::string(format_name(fmt)).c_str());
     }
   }
   std::printf("\n");

@@ -9,12 +9,27 @@
 
 #include "common/aligned_buffer.hpp"
 #include "common/error.hpp"
+#include "common/failpoint.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "data/synthetic.hpp"
 #include "formats/any_matrix.hpp"
 
 namespace ls {
+
+namespace {
+
+/// Calibration passes a format may take before its best stands as measured,
+/// and how many of them run at the caller's OpenMP team; the rest are
+/// serial (see CostCalibration::measure).
+constexpr int kMaxCalibrationPasses = 5;
+constexpr int kTeamCalibrationPasses = 3;
+/// Plausibility ceiling of a format's cost per multiply-add, in serial
+/// gathered elements (see CostCalibration::measure).
+constexpr double kMaxOpCostPerGather = 32.0;
+
+}  // namespace
 
 double modeled_flops(Format f, const MatrixFeatures& feat) {
   const double m = static_cast<double>(feat.m);
@@ -68,37 +83,11 @@ CostCalibration CostCalibration::measure() {
   const CooMatrix banded =
       make_banded(1024, 1024, {0, 1, -1, 2, -2, 3, -3, 4}, 1.0, rng);
 
-  std::vector<real_t> w;
-  std::vector<real_t> y;
-  auto time_format = [&](const CooMatrix& coo, Format f) {
-    const AnyMatrix mat = AnyMatrix::from_coo(coo, f);
-    w.assign(static_cast<std::size_t>(mat.cols()), 0.0);
-    y.assign(static_cast<std::size_t>(mat.rows()), 0.0);
-    for (std::size_t j = 0; j < w.size(); j += 3) w[j] = 0.5;  // sparse-ish w
-    const double secs = time_best([&] { mat.multiply_dense(w, y); }, 5, 0.005);
-    const double ops = static_cast<double>(mat.work_flops());
-    double& cost = cal.seconds_per_op_[static_cast<std::size_t>(f)];
-    cost = std::min(cost, ops > 0 ? secs / ops : 1e-9);
-  };
-
-  // Two passes, keeping each format's best. A transient stall, such as a
-  // new thread's OpenMP team starting beside busy ones, can slow every
-  // multiply of the first few hundred milliseconds ~100x; it spoils a
-  // format's first pass but not both.
-  cal.seconds_per_op_.fill(std::numeric_limits<double>::infinity());
-  for (int pass = 0; pass < 2; ++pass) {
-    time_format(dense, Format::kDEN);
-    time_format(sparse, Format::kCSR);
-    time_format(sparse, Format::kCOO);
-    time_format(sparse, Format::kELL);
-    time_format(banded, Format::kDIA);
-    time_format(sparse, Format::kHYB);
-  }
-
   // ISA probes: the active dispatch level's streamed vs gathered cost per
   // element, measured on the level's own micro-kernels. The ratio feeds
   // CostPrediction.gather_cost_ratio; the level tag makes staleness
-  // detectable after an LS_SIMD switch.
+  // detectable after an LS_SIMD switch. They run serially, so they also
+  // serve as the yardstick for the format passes below.
   const simd::KernelTable& kt = simd::kernels();
   cal.simd_level_ = kt.level;
   cal.vector_width_ = kt.width;
@@ -124,6 +113,62 @@ CostCalibration CostCalibration::measure() {
     const double dn = static_cast<double>(pn);
     cal.stream_seconds_per_elem_ = stream_secs / dn;
     cal.gather_seconds_per_elem_ = gather_secs / dn;
+  }
+
+  std::vector<real_t> w;
+  std::vector<real_t> y;
+  auto time_format = [&](const CooMatrix& coo, Format f) {
+    const AnyMatrix mat = AnyMatrix::from_coo(coo, f);
+    w.assign(static_cast<std::size_t>(mat.cols()), 0.0);
+    y.assign(static_cast<std::size_t>(mat.rows()), 0.0);
+    for (std::size_t j = 0; j < w.size(); j += 3) w[j] = 0.5;  // sparse-ish w
+    const double secs = time_best(
+        [&] {
+          LS_FAILPOINT("sched.calibrate.multiply");
+          mat.multiply_dense(w, y);
+        },
+        5, 0.005);
+    const double ops = static_cast<double>(mat.work_flops());
+    double& cost = cal.seconds_per_op_[static_cast<std::size_t>(f)];
+    cost = std::min(cost, ops > 0 ? secs / ops : 1e-9);
+  };
+
+  // Two passes at the caller's OpenMP team, keeping each format's best. A
+  // transient stall, such as a new thread's team starting beside busy ones,
+  // can slow every team multiply ~100x for a second or more and so spoil
+  // both passes alike. So a format whose best cost per op still exceeds
+  // kMaxOpCostPerGather serially gathered elements (quiet runs stay within
+  // ~8x on every SIMD level, stalled ones read 100-800x) is timed again:
+  // once more at the team, which outlasts the cold-start stall, and then,
+  // should other processes' teams keep the host oversubscribed, on the
+  // calling thread alone, where no team can stall it. A serial cost misses
+  // the format's parallel speedup (up to ~2x on these probes), which an
+  // oversubscribed host does not deliver anyway; a stalled one is off by
+  // orders of magnitude.
+  struct Probe {
+    const CooMatrix* coo;
+    Format format;
+  };
+  const Probe probes[] = {
+      {&dense, Format::kDEN}, {&sparse, Format::kCSR},
+      {&sparse, Format::kCOO}, {&sparse, Format::kELL},
+      {&banded, Format::kDIA}, {&sparse, Format::kHYB},
+  };
+  const double ceiling = kMaxOpCostPerGather * cal.gather_seconds_per_elem_;
+  struct TeamRestore {
+    int team;
+    ~TeamRestore() { set_num_threads(team); }
+  } restore{num_threads()};
+  cal.seconds_per_op_.fill(std::numeric_limits<double>::infinity());
+  for (int pass = 0; pass < kMaxCalibrationPasses; ++pass) {
+    if (pass == kTeamCalibrationPasses) set_num_threads(1);
+    bool timed = false;
+    for (const Probe& p : probes) {
+      if (pass >= 2 && cal.seconds_per_op(p.format) <= ceiling) continue;
+      time_format(*p.coo, p.format);
+      timed = true;
+    }
+    if (!timed) break;
   }
   return cal;
 }

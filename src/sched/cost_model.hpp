@@ -56,7 +56,9 @@ double modeled_bytes(Format f, const MatrixFeatures& feat);
 /// Per-format seconds per multiply-add, calibrated by timing probe matrices.
 class CostCalibration {
  public:
-  /// Runs the probe measurements (a few milliseconds per format).
+  /// Runs the probe measurements (a few milliseconds per format), timing
+  /// again any format whose cost per op is implausible next to the serial
+  /// gather probe (a stalled or oversubscribed OpenMP team).
   /// Deterministic probe shapes; timing is machine-dependent by design.
   static CostCalibration measure();
 

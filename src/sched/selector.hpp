@@ -5,11 +5,13 @@
 //   * HeuristicSelector: O(1) after feature extraction; ranks formats by the
 //     calibrated analytic cost model. This is the "influencing parameter"
 //     decision system the paper describes.
-//   * EmpiricalAutotuner: times real SMSV iterations of each candidate
-//     format on (a sample of) the actual matrix and picks the fastest —
-//     ground truth at the price of building candidate formats up front.
-//     Because SMO then runs thousands of iterations over the chosen layout,
-//     the tuning cost is amortised away (the paper's "runtime scheduling").
+//   * EmpiricalAutotuner: ranks the admissible formats with the same cost
+//     model, then builds only the two cheapest on (a window of) the actual
+//     matrix, times real SMSV iterations of both in interleaved rounds and
+//     picks the faster. The model prunes; the measurement settles the call
+//     where the model is least sure. Because SMO then runs thousands of
+//     iterations over the chosen layout, the tuning cost is amortised away
+//     (the paper's "runtime scheduling").
 //
 // Both race one shape: the single-row SMSV (one gathered row times the
 // matrix) that SMO issues twice per iteration. Serving scores about one row
@@ -81,9 +83,13 @@ class EmpiricalAutotuner {
  public:
   explicit EmpiricalAutotuner(AutotuneOptions opts = {}) : opts_(opts) {}
 
-  /// Builds each admissible candidate format for (a window of) `x`, times
-  /// real SMSV products with a gathered-row workspace, and picks the
-  /// fastest. Scores are extrapolated to full-matrix seconds.
+  /// Ranks the admissible formats by predicted SMSV time
+  /// (CostCalibration::instance()), builds the two cheapest for (a window
+  /// of) `x` — a candidate that throws or runs out of memory yields its
+  /// seat to the next-ranked one — times real SMSV products of both with a
+  /// gathered-row workspace in alternating rounds, and picks the faster.
+  /// Scores are extrapolated to full-matrix seconds; formats outside the
+  /// race keep score +inf.
   ScheduleDecision choose(const CooMatrix& x) const;
 
  private:

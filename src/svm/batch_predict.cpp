@@ -60,11 +60,13 @@ void BatchPredictor::decision_values(std::span<const SparseVector> rows,
                                << " output slots");
   const index_t d = model_->num_features;
   const index_t n_sv = sv_matrix_.rows();
-  const index_t bmax = batch_rows_;
   const auto n = static_cast<index_t>(rows.size());
+  const index_t bmax = std::min<index_t>(batch_rows_, n);
 
   // All scratch lives on this call's stack frame so concurrent callers
   // never share buffers (the serving engine relies on this re-entrancy).
+  // It is sized to the call's rows, not the block limit: a served batch
+  // mostly holds one row.
   std::vector<real_t> workspace(
       static_cast<std::size_t>(d) * static_cast<std::size_t>(bmax), 0.0);
   std::vector<real_t> dots(static_cast<std::size_t>(n_sv) *

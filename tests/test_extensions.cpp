@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <sstream>
 
+#include "common/failpoint.hpp"
+#include "data/features.hpp"
 #include "data/profiles.hpp"
 #include "data/synthetic.hpp"
 #include "svm/serialize.hpp"
@@ -134,8 +137,24 @@ TEST(ExtendedFormats, AutotunerScoresEveryDerivedFormat) {
     }
   }
   const CooMatrix coo(512, 512, std::move(t));
+  // The autotuner races only the model's top two. When the model ranks HYB
+  // lower, fail the builds of all but one format ranked above it, so the
+  // race falls through to HYB (DEN, 64x the work here, never ranks above).
+  const CostPrediction pred =
+      predict_cost(extract_features(coo), CostCalibration::instance());
+  int ahead = 0;
+  for (Format f : kExtendedFormats) {
+    ahead += pred.seconds_of(f) < pred.seconds_of(Format::kHYB) ? 1 : 0;
+  }
+  std::optional<failpoint::Scoped> fp;
+  if (ahead >= 2) {
+    failpoint::Spec spec;
+    spec.limit = ahead - 1;
+    fp.emplace("sched.candidate.materialize", spec);
+  }
   const ScheduleDecision d = EmpiricalAutotuner(opts).choose(coo);
-  EXPECT_TRUE(std::isfinite(d.score_of(Format::kHYB)));
+  fp.reset();
+  EXPECT_TRUE(std::isfinite(d.score_of(Format::kHYB))) << d.rationale;
   // The pick must be the measured argmin over the extended set.
   for (Format f : kExtendedFormats) {
     if (std::isfinite(d.score_of(f))) {
