@@ -7,8 +7,8 @@
 // Both paths do the same multiply-adds, but the matrix (values + index
 // structures) is read B times less often. On adult, mnist and trefethen
 // (bench_results/ablation_batch_rows.csv) ELL gains most at B = 32
-// (9.6-24.7x), then CSR (3.2-5.6x); DEN loses below B = 8 (0.11-0.21x at
-// B = 2) and DIA never gains (0.59-0.75x at B = 32).
+// (8.3-27.0x), then CSR (2.9-7.5x); DEN loses below B = 8 (0.10-0.19x at
+// B = 2) and DIA never gains (0.87-0.99x at B = 32).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -97,7 +97,7 @@ int main() {
     const Dataset ds = profile_by_name(name).generate();
     Rng rng(0xBA7C4ull);
 
-    for (Format f : kExtendedFormats) {
+    for (Format f : kAllFormats) {
       const AnyMatrix mat = AnyMatrix::from_coo(ds.X, f);
       std::vector<real_t> y(static_cast<std::size_t>(mat.rows()) *
                             static_cast<std::size_t>(max_b));

@@ -31,7 +31,7 @@ int main() {
     const Dataset ds = profile.generate();
 
     // Ground truth: measured cost per format.
-    std::array<double, kNumFormats> secs{};
+    std::array<double, kNumBasicFormats> secs{};
     Format optimal = Format::kCSR;
     for (Format f : kAllFormats) {
       secs[static_cast<std::size_t>(f)] =

@@ -22,7 +22,7 @@ int main() {
 
   for (const std::string& name : datasets) {
     const Dataset ds = profile_by_name(name).generate();
-    std::array<double, kNumFormats> secs{};
+    std::array<double, kNumBasicFormats> secs{};
     double worst = 0.0;
     for (Format f : kAllFormats) {
       const double s = bench::smo_row_seconds(ds.X, f, kernel);

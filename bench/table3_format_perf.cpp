@@ -34,7 +34,7 @@ int main() {
                           Format::kDEN, Format::kDIA};
   for (const PaperRow& pr : paper_rows) {
     const Dataset ds = profile_by_name(pr.name).generate();
-    std::array<double, kNumFormats> secs{};
+    std::array<double, kNumBasicFormats> secs{};
     double worst = 0.0;
     for (Format f : kAllFormats) {
       secs[static_cast<std::size_t>(f)] =

@@ -36,7 +36,7 @@ int main() {
     // the matrix: without it, CSR on the first dataset (adult) sometimes
     // timed as slow as DEN or slower, which misreads the whole row.
     (void)bench::smo_row_seconds(ds.X, Format::kCSR, kernel);
-    std::array<double, kNumFormats> secs{};
+    std::array<double, kNumBasicFormats> secs{};
     for (Format f : kAllFormats) {
       secs[static_cast<std::size_t>(f)] =
           bench::smo_row_seconds(ds.X, f, kernel);

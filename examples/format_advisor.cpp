@@ -23,8 +23,6 @@ int main(int argc, char** argv) {
   CliParser cli("format_advisor", "recommend a storage format for a dataset");
   cli.add_flag("file", "", "libsvm-format input file (overrides --dataset)");
   cli.add_flag("dataset", "mnist", "Table V profile name when no --file");
-  cli.add_flag("extended", "false",
-               "also consider the derived format (HYB)");
   add_observability_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
   const ObservabilityScope observability(cli);
@@ -61,16 +59,10 @@ int main(int argc, char** argv) {
   const ScheduleDecision heuristic = HeuristicSelector(cal).choose(f);
   std::printf("heuristic decision: %s\n", heuristic.rationale.c_str());
 
-  AutotuneOptions tune_opts;
-  tune_opts.include_extended = cli.get_bool("extended");
-  const ScheduleDecision empirical = EmpiricalAutotuner(tune_opts).choose(ds.X);
+  const ScheduleDecision empirical = EmpiricalAutotuner().choose(ds.X);
   std::printf("empirical decision: %s\n", empirical.rationale.c_str());
   std::printf("  measured seconds/SMSV per format:");
-  for (Format fmt : cli.get_bool("extended")
-                        ? std::vector<Format>(kExtendedFormats.begin(),
-                                              kExtendedFormats.end())
-                        : std::vector<Format>(kAllFormats.begin(),
-                                              kAllFormats.end())) {
+  for (Format fmt : kAllFormats) {
     const double s = empirical.score_of(fmt);
     if (std::isfinite(s)) {
       std::printf(" %s=%s", std::string(format_name(fmt)).c_str(),

@@ -100,7 +100,7 @@ int run(int argc, char** argv) {
   cli.add_flag("policy", "empirical",
                "layout policy: empirical|heuristic|fixed");
   cli.add_flag("fixed-format", "CSR",
-               "layout used when --policy fixed (DEN|CSR|COO|ELL|DIA|HYB)");
+               "layout used when --policy fixed (DEN|CSR|COO|ELL|DIA)");
   cli.add_flag("reschedule", "false",
                "enable the online layout bandit: sample live per-layout "
                "timings and re-materialise models in a decisively better "
@@ -117,8 +117,6 @@ int run(int argc, char** argv) {
                "per-model lifetime budget of online layout switches");
   cli.add_flag("reschedule-hysteresis-ms", "500",
                "minimum dwell time between switches of the same model");
-  cli.add_flag("reschedule-extended", "false",
-               "bandit arms cover the basic five formats plus HYB");
   ls::add_observability_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
   const ls::ObservabilityScope observability(cli);
@@ -138,7 +136,6 @@ int run(int argc, char** argv) {
   opts.reschedule.max_switches =
       static_cast<ls::index_t>(cli.get_int("reschedule-max-switches"));
   opts.reschedule.hysteresis_ms = cli.get_double("reschedule-hysteresis-ms");
-  opts.reschedule.include_extended = cli.get_bool("reschedule-extended");
 
   ls::serve::ServerOptions listen;
   listen.unix_path = cli.get("socket");
@@ -179,13 +176,12 @@ int run(int argc, char** argv) {
   }
   if (opts.reschedule.enabled) {
     std::printf("online rescheduling on (interval=%gms threshold=%g "
-                "min-obs=%lld max-switches=%d hysteresis=%gms arms=%s)\n",
+                "min-obs=%lld max-switches=%d hysteresis=%gms)\n",
                 opts.reschedule.interval_ms,
                 opts.reschedule.switch_threshold,
                 static_cast<long long>(opts.reschedule.min_observations),
                 static_cast<int>(opts.reschedule.max_switches),
-                opts.reschedule.hysteresis_ms,
-                opts.reschedule.include_extended ? "extended" : "basic");
+                opts.reschedule.hysteresis_ms);
   }
   std::fflush(stdout);
 

@@ -104,7 +104,7 @@ int run(int argc, char** argv) {
   cli.add_flag("c", "1", "SVM box constraint C");
   cli.add_flag("tolerance", "0.001", "KKT tolerance");
   cli.add_flag("layout", "CSR",
-               "training-matrix layout (DEN|CSR|COO|ELL|DIA|HYB)");
+               "training-matrix layout (DEN|CSR|COO|ELL|DIA)");
   cli.add_flag("max-connections", "256", "connection cap (0 = unlimited)");
   cli.add_flag("read-timeout-ms", "5000", "per-frame receive budget");
   cli.add_flag("write-timeout-ms", "5000", "per-frame send budget");

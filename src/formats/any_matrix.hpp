@@ -1,5 +1,5 @@
 // Runtime-polymorphic matrix: the object the layout scheduler actually
-// hands to the SVM solver. A std::variant over the six concrete formats
+// hands to the SVM solver. A std::variant over the five concrete formats
 // keeps dispatch branch-predictable (no virtual calls in the SMSV loop —
 // one visit per multiply, not per element).
 #pragma once
@@ -16,7 +16,6 @@
 #include "formats/dia.hpp"
 #include "formats/ell.hpp"
 #include "formats/format.hpp"
-#include "formats/hyb.hpp"
 #include "formats/sparse_vector.hpp"
 
 namespace ls {
@@ -30,7 +29,6 @@ class AnyMatrix {
   AnyMatrix(CooMatrix m) : m_(std::move(m)) {}
   AnyMatrix(EllMatrix m) : m_(std::move(m)) {}
   AnyMatrix(DiaMatrix m) : m_(std::move(m)) {}
-  AnyMatrix(HybMatrix m) : m_(std::move(m)) {}
 
   /// Materialises `coo` in the requested storage format.
   static AnyMatrix from_coo(const CooMatrix& coo, Format f) {
@@ -40,7 +38,6 @@ class AnyMatrix {
       case Format::kCOO: return AnyMatrix(coo);
       case Format::kELL: return AnyMatrix(EllMatrix(coo));
       case Format::kDIA: return AnyMatrix(DiaMatrix(coo));
-      case Format::kHYB: return AnyMatrix(HybMatrix(coo));
     }
     throw Error("from_coo: invalid format");
   }
@@ -145,9 +142,7 @@ class AnyMatrix {
   }
 
  private:
-  std::variant<DenseMatrix, CsrMatrix, CooMatrix, EllMatrix, DiaMatrix,
-               HybMatrix>
-      m_;
+  std::variant<DenseMatrix, CsrMatrix, CooMatrix, EllMatrix, DiaMatrix> m_;
 };
 
 }  // namespace ls

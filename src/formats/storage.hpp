@@ -20,8 +20,6 @@ struct StorageShape {
   index_t nnz = 0;      // number of nonzeros
   index_t ndig = 0;     // occupied diagonals (DIA)
   index_t mdim = 0;     // maximum row nnz (ELL)
-  index_t hyb_width = 0;     // ELL slab width (HYB)
-  index_t hyb_overflow = 0;  // COO overflow nonzeros (HYB)
 };
 
 /// Exact stored words for a concrete matrix of this shape.
@@ -41,9 +39,6 @@ inline index_t storage_words(Format f, const StorageShape& s) {
     case Format::kDIA:
       // padded stripes of length min(M, N) + offsets array.
       return s.ndig * std::min(s.rows, s.cols) + s.ndig;
-    case Format::kHYB:
-      // padded slab (values + cols) + per-row occupancy + overflow triples.
-      return 2 * s.rows * s.hyb_width + s.rows + 3 * s.hyb_overflow;
   }
   return 0;
 }
@@ -57,7 +52,6 @@ inline index_t storage_words_min(Format f, index_t m, index_t n) {
     case Format::kCOO: return 1;            // O(1): empty arrays
     case Format::kELL: return 2 * m;        // O(2M): mdim = 1
     case Format::kDIA: return m + 1;        // O(M + 1): one diagonal
-    case Format::kHYB: return 3 * m + 3;  // width-1 slab + occupancy
   }
   return 0;
 }
@@ -75,9 +69,6 @@ inline index_t storage_words_max(Format f, index_t m, index_t n) {
     case Format::kDIA:
       // (min(M,N) + 1) * (M + N - 1): every diagonal occupied.
       return (std::min(m, n) + 1) * (m + n - 1);
-    case Format::kHYB:
-      // Dense: slab width n, no overflow, plus the occupancy array.
-      return 2 * m * n + m;
   }
   return 0;
 }

@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD micro-kernel layer.
 //
 // Every format SMSV hot loop (dense row dots, CSR gather-dots, the
-// ELL/HYB diagonal strips and all their batched-rhs variants) calls
+// ELL diagonal strips and all their batched-rhs variants) calls
 // through one process-wide KernelTable selected at startup from the CPU's
 // capabilities (cpuid) and overridable with LS_SIMD=scalar|avx2|avx512|
 // neon|native for tests and ops. The scalar table is always present and
@@ -95,11 +95,11 @@ struct KernelTable {
   void (*sparse_row_batch)(const real_t* v, const index_t* c, index_t len,
                            const real_t* w, index_t b, real_t* y);
 
-  /// y[i] += v[i] * w[c[i]] for i in [0, len) — an ELL/HYB diagonal strip.
+  /// y[i] += v[i] * w[c[i]] for i in [0, len) — an ELL diagonal strip.
   void (*gather_axpy)(const real_t* v, const index_t* c, index_t len,
                       const real_t* w, real_t* y);
 
-  /// y[i*b + q] += v[i] * w[c[i]*b + q] — batched ELL/HYB strip.
+  /// y[i*b + q] += v[i] * w[c[i]*b + q] — batched ELL strip.
   void (*gather_axpy_batch)(const real_t* v, const index_t* c, index_t len,
                             const real_t* w, index_t b, real_t* y);
 

@@ -42,10 +42,6 @@ double modeled_flops(Format f, const MatrixFeatures& feat) {
     case Format::kELL: return m * static_cast<double>(feat.mdim);
     case Format::kDIA:
       return static_cast<double>(feat.ndig) * std::min(m, n);
-    case Format::kHYB:
-      // Auto-width slab (width = ceil(adim)): padding is bounded by ~M and
-      // the overflow adds no padding at all.
-      return nnz + m;
   }
   return 0.0;
 }
@@ -62,8 +58,6 @@ double modeled_bytes(Format f, const MatrixFeatures& feat) {
     case Format::kELL: return flops * (vb + ib);       // padded value + col
     case Format::kDIA:
       return flops * vb + static_cast<double>(feat.ndig) * ib;
-    case Format::kHYB:
-      return flops * (vb + ib) + m * ib;  // + per-row occupancy
   }
   return 0.0;
 }
@@ -152,7 +146,7 @@ CostCalibration CostCalibration::measure() {
   const Probe probes[] = {
       {&dense, Format::kDEN}, {&sparse, Format::kCSR},
       {&sparse, Format::kCOO}, {&sparse, Format::kELL},
-      {&banded, Format::kDIA}, {&sparse, Format::kHYB},
+      {&banded, Format::kDIA},
   };
   const double ceiling = kMaxOpCostPerGather * cal.gather_seconds_per_elem_;
   struct TeamRestore {
@@ -195,7 +189,7 @@ const CostCalibration& CostCalibration::instance() {
 
 std::string CostCalibration::to_string() const {
   std::string out = "seconds/op:";
-  for (Format f : kExtendedFormats) {
+  for (Format f : kAllFormats) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), " %s=%.3g",
                   std::string(format_name(f)).c_str(), seconds_per_op(f));
@@ -225,10 +219,7 @@ CostPrediction predict_cost(const MatrixFeatures& feat,
   p.simd_level = cal.simd_level();
   p.vector_width = cal.vector_width();
   p.gather_cost_ratio = cal.gather_cost_ratio();
-  // Every format, the derived HYB included, not just the paper's five: the
-  // bandit's arm set is configurable and a prior of 0.0 would read as
-  // "free".
-  for (Format f : kExtendedFormats) {
+  for (Format f : kAllFormats) {
     const auto i = static_cast<std::size_t>(f);
     p.flops[i] = modeled_flops(f, feat);
     p.bytes[i] = modeled_bytes(f, feat);
@@ -237,7 +228,7 @@ CostPrediction predict_cost(const MatrixFeatures& feat,
   return p;
 }
 
-std::array<double, kNumFormats> predicted_arm_priors(
+std::array<double, kNumBasicFormats> predicted_arm_priors(
     const MatrixFeatures& feat, const CostCalibration& cal) {
   return predict_cost(feat, cal).seconds;
 }

@@ -27,9 +27,9 @@ namespace ls {
 
 /// Predicted cost of one SMSV (y = X * w) in each format.
 struct CostPrediction {
-  std::array<double, kNumFormats> seconds{};  // indexed by Format
-  std::array<double, kNumFormats> flops{};    // modelled multiply-adds
-  std::array<double, kNumFormats> bytes{};    // modelled bytes streamed
+  std::array<double, kNumBasicFormats> seconds{};  // indexed by Format
+  std::array<double, kNumBasicFormats> flops{};    // modelled multiply-adds
+  std::array<double, kNumBasicFormats> bytes{};    // modelled bytes streamed
 
   /// ISA terms inherited from the calibration the prediction was made
   /// with: the dispatch level and accumulator width the measured
@@ -108,7 +108,7 @@ class CostCalibration {
   std::string to_string() const;
 
  private:
-  std::array<double, kNumFormats> seconds_per_op_{};
+  std::array<double, kNumBasicFormats> seconds_per_op_{};
   simd::SimdLevel simd_level_ = simd::SimdLevel::kScalar;
   int vector_width_ = 1;
   bool level_agnostic_ = false;
@@ -116,8 +116,7 @@ class CostCalibration {
   double stream_seconds_per_elem_ = 1.0;
 };
 
-/// Full prediction for every format, the extended HYB included (the
-/// heuristic selector ranks only the paper's five). Throws when `cal` was
+/// Full prediction for every format. Throws when `cal` was
 /// measured under a dispatch level other than the active one (stale-ISA
 /// calibration) — refit via CostCalibration::instance() after a level
 /// switch.
@@ -130,7 +129,7 @@ CostPrediction predict_cost(const MatrixFeatures& feat,
 /// *predicted* cost instead of infinity (or zero) — exploration is guided
 /// by the model instead of being uniform, and a layout the model already
 /// knows to be hopeless is never worth a live experiment.
-std::array<double, kNumFormats> predicted_arm_priors(
+std::array<double, kNumBasicFormats> predicted_arm_priors(
     const MatrixFeatures& feat, const CostCalibration& cal);
 
 }  // namespace ls

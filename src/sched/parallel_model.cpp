@@ -27,13 +27,6 @@ std::vector<double> per_row_ops(Format f, const std::vector<index_t>& row_nnz,
       std::fill(ops.begin(), ops.end(), static_cast<double>(mdim));
       break;
     }
-    case Format::kHYB:
-      // Approximation: HYB does ~nnz work per row (its slab padding is a
-      // structure-dependent lower-order term).
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        ops[i] = static_cast<double>(row_nnz[i]);
-      }
-      break;
     case Format::kDIA:
       // Not row-decomposable (it splits by stripe); callers use the
       // dedicated path in simulate_makespan.

@@ -94,7 +94,7 @@ void record_decision_metrics(const ScheduleDecision& d) {
                        std::string(format_name(d.format)));
   // Per-candidate scores: measured (empirical) or predicted (heuristic)
   // seconds per SMSV. Unprobed candidates sit at 0 or inf — skip both.
-  for (Format f : kExtendedFormats) {
+  for (Format f : kAllFormats) {
     const double s = d.score_of(f);
     if (std::isfinite(s) && s > 0.0) {
       metrics::gauge_set("sched.score_seconds." +

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <limits>
 #include <new>
-#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -42,9 +41,6 @@ double modeled_storage_words(Format f, const MatrixFeatures& feat) {
   s.nnz = feat.nnz;
   s.ndig = feat.ndig;
   s.mdim = feat.mdim;
-  // HYB guard approximation: auto width = ceil(adim), overflow <= nnz.
-  s.hyb_width = feat.m > 0 ? (feat.nnz + feat.m - 1) / feat.m : 0;
-  s.hyb_overflow = 0;
   return static_cast<double>(storage_words(f, s));
 }
 
@@ -113,8 +109,7 @@ ScheduleDecision EmpiricalAutotuner::choose(const CooMatrix& x) const {
   // Workspace seeded with a real gathered row, as in SMO. The probe times
   // the multiply without the gather_row SMO runs first (compute_row); that
   // ranks formats as SMO does only because every format gathers in O(row),
-  // O(row + log nnz) (COO, HYB's overflow) or O(ndig) (DIA), a small share
-  // of its multiply.
+  // O(row + log nnz) (COO) or O(ndig) (DIA), a small share of its multiply.
   std::vector<real_t> w(static_cast<std::size_t>(probe->cols()), 0.0);
   std::vector<real_t> y(static_cast<std::size_t>(probe->rows()), 0.0);
   Rng rng(0x5E1EC7ull);
@@ -126,12 +121,9 @@ ScheduleDecision EmpiricalAutotuner::choose(const CooMatrix& x) const {
   // kRacedCandidates are built and timed. The model's top two held the full
   // race's pick on every Table VI stand-in, and building the losers (DIA on
   // gisette, DEN on sector) cost more than the race itself.
-  const std::span<const Format> candidates =
-      opts_.include_extended ? std::span<const Format>(kExtendedFormats)
-                             : std::span<const Format>(kAllFormats);
   const CostPrediction pred = predict_cost(feat, CostCalibration::instance());
   std::vector<Format> ranked;
-  for (Format f : candidates) {
+  for (Format f : kAllFormats) {
     if (storage_admissible(f, feat)) ranked.push_back(f);
   }
   std::stable_sort(ranked.begin(), ranked.end(), [&pred](Format a, Format b) {

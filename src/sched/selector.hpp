@@ -35,7 +35,7 @@ namespace ls {
 /// (predicted or measured seconds per SMSV) for reporting.
 struct ScheduleDecision {
   Format format = Format::kCSR;
-  std::array<double, kNumFormats> score_seconds{};
+  std::array<double, kNumBasicFormats> score_seconds{};
   std::string rationale;
   /// True when a fallback path produced this decision (empirical candidates
   /// all failed, or the chosen format could not be materialised). The
@@ -73,9 +73,6 @@ struct AutotuneOptions {
   /// contiguous row window preserves the diagonal / row-length structure
   /// that drives DIA and ELL costs.
   index_t sample_rows = 2048;
-  /// Also consider the derived format (HYB) beyond the paper's five basic
-  /// formats.
-  bool include_extended = false;
 };
 
 /// Measurement-based selector.

@@ -24,13 +24,6 @@ std::chrono::steady_clock::duration ms_duration(double ms) {
 
 }  // namespace
 
-std::vector<Format> rescheduler_arms(const ReschedulerOptions& opts) {
-  if (opts.include_extended) {
-    return {kExtendedFormats.begin(), kExtendedFormats.end()};
-  }
-  return {kAllFormats.begin(), kAllFormats.end()};
-}
-
 bool decisively_better(double current_score, double best_score,
                        double switch_threshold) {
   return std::isfinite(best_score) &&
@@ -122,7 +115,7 @@ void LayoutRescheduler::seed_priors(const std::string& name,
   // Feature extraction and calibration run outside mu_ — the first pass
   // pays the one-time cost-model calibration, which must not block the
   // telemetry hook.
-  const std::array<double, kNumFormats> priors = predicted_arm_priors(
+  const std::array<double, kNumBasicFormats> priors = predicted_arm_priors(
       extract_features(support_vector_matrix(model.model)),
       CostCalibration::instance());
   std::lock_guard<std::mutex> lk(mu_);
@@ -170,7 +163,7 @@ std::optional<Format> LayoutRescheduler::best_arm_locked(
   if (!s.priors_ready) return std::nullopt;
   std::optional<Format> best;
   double best_value = kInf;
-  for (Format f : rescheduler_arms(opts_)) {
+  for (Format f : kAllFormats) {
     const double v = arm_value_locked(s, f);
     if (v < best_value) {
       best_value = v;
@@ -305,7 +298,7 @@ std::vector<ModelBanditStats> LayoutRescheduler::stats() const {
     if (it != models_.end()) {
       const ModelState& s = it->second;
       mb.switches = s.switches;
-      for (Format f : rescheduler_arms(opts_)) {
+      for (Format f : kAllFormats) {
         const auto i = static_cast<std::size_t>(f);
         ArmStats a;
         a.format = f;

@@ -69,8 +69,6 @@ struct ReschedulerOptions {
   /// UCB1 exploration weight c: the bonus is c * prior_scale *
   /// sqrt(ln(total_pulls) / arm_pulls). 0 = pure exploitation.
   double ucb_exploration = 0.25;
-  /// Candidate arms: the paper's five basic formats, or those plus HYB.
-  bool include_extended = false;
 };
 
 /// One bandit arm's public statistics (the stats verb's per-model lines).
@@ -162,8 +160,8 @@ class LayoutRescheduler {
     /// so telemetry from workers racing a swap can never be misread as a
     /// reload (version numbers bump on both and cannot tell them apart).
     std::int64_t content_gen = 0;
-    std::array<Arm, kNumFormats> arms{};
-    std::array<double, kNumFormats> priors{};
+    std::array<Arm, kNumBasicFormats> arms{};
+    std::array<double, kNumBasicFormats> priors{};
     bool priors_ready = false;
     index_t switches = 0;
     std::chrono::steady_clock::time_point last_switch{};
@@ -202,9 +200,6 @@ class LayoutRescheduler {
   std::thread policy_thread_;
   std::atomic<bool> running_{false};
 };
-
-/// The candidate arm set under `opts`.
-std::vector<Format> rescheduler_arms(const ReschedulerOptions& opts);
 
 /// The bandit's switch gate: switch only when the measured/estimated best
 /// is decisively better than the current format. An infinite or NaN

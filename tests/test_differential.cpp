@@ -84,7 +84,7 @@ const std::vector<MatrixCase>& structural_cases() {
 template <class Fn>
 void for_each_case_and_format(Fn&& fn) {
   for (const MatrixCase& c : structural_cases()) {
-    for (Format f : kExtendedFormats) {
+    for (Format f : kAllFormats) {
       SCOPED_TRACE(c.name + " / " + std::string(format_name(f)));
       fn(c, AnyMatrix::from_coo(c.coo, f));
     }
@@ -428,7 +428,7 @@ TEST(CrossIsa, BatchKernelLanesBitIdenticalToSingleAtEveryLevel) {
 }
 
 TEST(CrossIsa, StripKernelsMatchScalarAtEveryLevel) {
-  // gather_axpy (ELL/HYB strips), single and batched, against the scalar
+  // gather_axpy (ELL strips), single and batched, against the scalar
   // table.
   Rng rng(0x51D3ull);
   constexpr index_t kLen = 67;  // odd: remainder lanes at every width
@@ -517,8 +517,7 @@ TEST(CrossIsa, FormatBatchLanesBitIdenticalAtEveryLevel) {
   for (simd::SimdLevel level : supported_levels()) {
     simd::ScopedSimdLevel guard(level);
     SCOPED_TRACE(std::string(simd::level_name(level)));
-    for (Format f :
-         {Format::kDEN, Format::kCSR, Format::kELL, Format::kHYB}) {
+    for (Format f : {Format::kDEN, Format::kCSR, Format::kELL}) {
       SCOPED_TRACE(std::string(format_name(f)));
       const AnyMatrix mat = AnyMatrix::from_coo(coo, f);
       for (index_t b_rows : {index_t{1}, index_t{2}, index_t{3}, index_t{4},

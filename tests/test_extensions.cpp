@@ -1,13 +1,9 @@
-// Tests for the extension modules: model serialization and the
-// extended-format autotuner path.
+// Tests for the extension modules: model serialization.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <optional>
+#include <cstdio>
 #include <sstream>
 
-#include "common/failpoint.hpp"
-#include "data/features.hpp"
 #include "data/profiles.hpp"
 #include "data/synthetic.hpp"
 #include "svm/serialize.hpp"
@@ -117,59 +113,6 @@ TEST(Serialize, FileRoundTrip) {
   EXPECT_EQ(back.support_vectors.size(), model.support_vectors.size());
   std::remove(path.c_str());
   EXPECT_THROW(load_model_file(path), Error);
-}
-
-// ----------------------------------------------- extended-format tuning
-
-TEST(ExtendedFormats, AutotunerScoresEveryDerivedFormat) {
-  AutotuneOptions opts;
-  opts.include_extended = true;
-  opts.sample_rows = 0;
-  // Block-structured matrix: dense 4x4 tiles along the diagonal. Every row
-  // has the same length, so HYB's ELL-style slab carries no padding and
-  // the derived format stays admissible.
-  std::vector<Triplet> t;
-  for (index_t b = 0; b < 128; ++b) {
-    for (index_t r = 0; r < 4; ++r) {
-      for (index_t c = 0; c < 4; ++c) {
-        t.push_back({b * 4 + r, b * 4 + c, 1.0});
-      }
-    }
-  }
-  const CooMatrix coo(512, 512, std::move(t));
-  // The autotuner races only the model's top two. When the model ranks HYB
-  // lower, fail the builds of all but one format ranked above it, so the
-  // race falls through to HYB (DEN, 64x the work here, never ranks above).
-  const CostPrediction pred =
-      predict_cost(extract_features(coo), CostCalibration::instance());
-  int ahead = 0;
-  for (Format f : kExtendedFormats) {
-    ahead += pred.seconds_of(f) < pred.seconds_of(Format::kHYB) ? 1 : 0;
-  }
-  std::optional<failpoint::Scoped> fp;
-  if (ahead >= 2) {
-    failpoint::Spec spec;
-    spec.limit = ahead - 1;
-    fp.emplace("sched.candidate.materialize", spec);
-  }
-  const ScheduleDecision d = EmpiricalAutotuner(opts).choose(coo);
-  fp.reset();
-  EXPECT_TRUE(std::isfinite(d.score_of(Format::kHYB))) << d.rationale;
-  // The pick must be the measured argmin over the extended set.
-  for (Format f : kExtendedFormats) {
-    if (std::isfinite(d.score_of(f))) {
-      EXPECT_LE(d.score_of(d.format), d.score_of(f)) << format_name(f);
-    }
-  }
-}
-
-TEST(ExtendedFormats, BasicPolicyIgnoresDerivedFormats) {
-  Rng rng(86);
-  const CooMatrix coo = test::random_matrix(64, 64, 0.2, rng);
-  AutotuneOptions opts;
-  opts.sample_rows = 0;  // include_extended defaults to false
-  const ScheduleDecision d = EmpiricalAutotuner(opts).choose(coo);
-  EXPECT_FALSE(std::isfinite(d.score_of(Format::kHYB)));
 }
 
 }  // namespace

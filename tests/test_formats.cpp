@@ -116,45 +116,10 @@ TEST(Dia, GatherRowSkipsPadding) {
 }
 
 TEST(Format, NamesRoundTrip) {
-  for (Format f : kExtendedFormats) {
+  for (Format f : kAllFormats) {
     EXPECT_EQ(parse_format(format_name(f)), f);
   }
   EXPECT_THROW(parse_format("BOGUS"), Error);
-}
-
-TEST(Hyb, AutoWidthIsCeilOfMeanRowLength) {
-  // 4 rows with lengths {1, 1, 2, 4}: nnz = 8, mean = 2 -> width 2 and
-  // the length-4 row spills 2 entries into the COO overflow.
-  CooMatrix coo(4, 8,
-                {{0, 0, 1.0}, {1, 1, 1.0}, {2, 0, 1.0}, {2, 3, 1.0},
-                 {3, 0, 1.0}, {3, 2, 1.0}, {3, 5, 1.0}, {3, 7, 1.0}});
-  HybMatrix hyb(coo);
-  EXPECT_EQ(hyb.ell_width(), 2);
-  EXPECT_EQ(hyb.overflow_nnz(), 2);
-  EXPECT_EQ(hyb.stored_elements(), 4 * 2 + 2);
-  SparseVector row;
-  hyb.gather_row(3, row);  // slab part (cols 0, 2) + overflow (cols 5, 7)
-  ASSERT_EQ(row.nnz(), 4);
-  EXPECT_EQ(row.indices()[2], 5);
-}
-
-TEST(Hyb, ExplicitWidthControlsTheSplit) {
-  CooMatrix coo(2, 6, {{0, 0, 1.0}, {0, 1, 1.0}, {0, 2, 1.0}, {1, 4, 1.0}});
-  HybMatrix hyb(coo, /*ell_width=*/1);
-  EXPECT_EQ(hyb.ell_width(), 1);
-  EXPECT_EQ(hyb.overflow_nnz(), 2);  // row 0 spills cols 1 and 2
-}
-
-TEST(Hyb, SingleLongRowNoLongerInflatesStorage) {
-  // ELL's pathology: one row of 64 among 63 rows of 1 forces mdim = 64.
-  std::vector<Triplet> t;
-  for (index_t j = 0; j < 64; ++j) t.push_back({0, j, 1.0});
-  for (index_t i = 1; i < 64; ++i) t.push_back({i, 0, 1.0});
-  CooMatrix coo(64, 64, std::move(t));
-  const EllMatrix ell(coo);
-  const HybMatrix hyb(coo);
-  EXPECT_EQ(ell.stored_elements(), 64 * 64);
-  EXPECT_LT(hyb.stored_elements(), 3 * coo.nnz());  // ~nnz, not M * mdim
 }
 
 TEST(AnyMatrix, FormatTagMatchesConstruction) {
@@ -259,7 +224,7 @@ std::vector<SweepParam> make_sweep() {
       {1, 1, 1.0},   {5, 7, 0.3},   {16, 16, 0.1},   {64, 8, 0.5},
       {8, 64, 0.5},  {40, 40, 0.02}, {100, 30, 0.15}, {33, 57, 0.9},
   };
-  for (Format f : kExtendedFormats) {
+  for (Format f : kAllFormats) {
     for (const auto& [m, n, d] : shapes) {
       params.push_back({f, m, n, d});
     }
@@ -286,7 +251,7 @@ TEST_P(EmptyMatrix, ZeroNnzMultiplyIsZero) {
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, EmptyMatrix,
                          ::testing::ValuesIn(std::vector<Format>(
-                             kExtendedFormats.begin(), kExtendedFormats.end())),
+                             kAllFormats.begin(), kAllFormats.end())),
                          [](const auto& info) {
                            return std::string(format_name(info.param));
                          });
@@ -314,17 +279,13 @@ TEST_P(StorageAccounting, MeasuredBytesMatchFormula) {
   if (GetParam() == Format::kELL) {
     s.mdim = mat.as<EllMatrix>().max_row_nnz();
   }
-  if (GetParam() == Format::kHYB) {
-    s.hyb_width = mat.as<HybMatrix>().ell_width();
-    s.hyb_overflow = mat.as<HybMatrix>().overflow_nnz();
-  }
   const index_t words = storage_words(GetParam(), s);
   EXPECT_EQ(mat.storage_bytes(), static_cast<std::size_t>(words) * 8u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, StorageAccounting,
                          ::testing::ValuesIn(std::vector<Format>(
-                             kExtendedFormats.begin(), kExtendedFormats.end())),
+                             kAllFormats.begin(), kAllFormats.end())),
                          [](const auto& info) {
                            return std::string(format_name(info.param));
                          });
@@ -334,7 +295,7 @@ TEST(StorageModel, TableIIMinMaxBoundsHold) {
   Rng rng(0x7AB1E);
   for (double density : {0.05, 0.3, 1.0}) {
     const CooMatrix coo = random_matrix(20, 30, density, rng);
-    for (Format f : kExtendedFormats) {
+    for (Format f : kAllFormats) {
       const AnyMatrix mat = AnyMatrix::from_coo(coo, f);
       const auto words =
           static_cast<index_t>(mat.storage_bytes() / 8);

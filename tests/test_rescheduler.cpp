@@ -133,7 +133,7 @@ TEST(Rescheduler, CostModelSeedsEveryArmWithAFinitePrior) {
       extract_features(support_vector_matrix(model));
   const auto priors =
       predicted_arm_priors(feat, CostCalibration::instance());
-  for (Format f : kExtendedFormats) {
+  for (Format f : kAllFormats) {
     const double p = priors[static_cast<std::size_t>(f)];
     EXPECT_TRUE(std::isfinite(p)) << format_name(f);
     // A zero prior would read as "this layout is free" and win every

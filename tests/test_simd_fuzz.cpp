@@ -70,8 +70,8 @@ TEST(SimdFuzz, RandomMatricesAgreeAcrossLevels) {
     const index_t n = rng.uniform_int(1, 48);
     const double density = densities[rng.uniform_int(
         0, static_cast<index_t>(std::size(densities)) - 1)];
-    const Format f = kExtendedFormats[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<index_t>(kExtendedFormats.size()) - 1))];
+    const Format f = kAllFormats[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<index_t>(kAllFormats.size()) - 1))];
     const index_t b = rng.uniform_int(1, kMaxSmsvBatch);
     SCOPED_TRACE(std::string(format_name(f)) + " " + std::to_string(m) + "x" +
                  std::to_string(n) + " density=" + std::to_string(density) +

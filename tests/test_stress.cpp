@@ -97,7 +97,7 @@ std::vector<AdversarialParam> adversarial_params() {
        {"single_full_row", "single_full_col", "main_diagonal_only",
         "anti_diagonal", "checkerboard", "first_and_last_corner",
         "one_by_wide", "tall_by_one"}) {
-    for (Format f : kExtendedFormats) {
+    for (Format f : kAllFormats) {
       params.push_back({kind, f});
     }
   }
