@@ -587,6 +587,11 @@ if [[ "${mode}" == "all" || "${mode}" == "--sanitize-only" ]]; then
   # under ASan+UBSan through real daemons too (one daemon each).
   serve_smoke build-asan
   reschedule_smoke build-asan
+  # The chaos soak kills a retrain mid-checkpoint-save and resumes it, so
+  # the checkpoint decoder, which copies file bytes by a length read from
+  # the file, runs under ASan+UBSan too, not only under TSan.
+  echo "==> train-serve chaos (build-asan)"
+  ./build-asan/bench/train_serve_chaos
 fi
 
 if [[ "${mode}" == "all" || "${mode}" == "--tsan-only" ]]; then

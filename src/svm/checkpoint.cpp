@@ -1,7 +1,10 @@
 #include "svm/checkpoint.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
-#include <sstream>
+#include <cstring>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
@@ -11,31 +14,25 @@ namespace ls {
 
 namespace {
 
-constexpr const char* kCheckpointMagic = "ls_smo_checkpoint v1";
+// One binary record: the magic line, u64 iteration, u64 n, then n f64
+// alphas and n f64 f values, all in host order (little-endian, the only
+// byte order this writer supports); atomic_write_file appends the CRC32
+// footer. Binary because a save recurs every checkpoint_interval
+// iterations of a solve: it must cost a copy, not 2n number formattings.
+static_assert(std::endian::native == std::endian::little,
+              "SMO checkpoints are stored in little-endian order");
+constexpr char kCheckpointMagic[] = "ls_smo_checkpoint v2\n";
+constexpr std::size_t kMagicLen = sizeof(kCheckpointMagic) - 1;
+constexpr std::size_t kHeaderLen = kMagicLen + 2 * sizeof(std::uint64_t);
 
-void write_vector(std::ostream& out, const char* name,
-                  const std::vector<real_t>& v) {
-  out << name;
-  for (real_t x : v) out << ' ' << x;
-  out << '\n';
+void put(char*& at, const void* src, std::size_t bytes) {
+  if (bytes > 0) std::memcpy(at, src, bytes);  // src is null when n = 0
+  at += bytes;
 }
 
-std::vector<real_t> read_vector(std::istream& in, const char* name,
-                                std::size_t n) {
-  std::string line;
-  LS_CHECK(std::getline(in, line), "checkpoint truncated at " << name);
-  std::istringstream ls(line);
-  std::string key;
-  LS_CHECK(static_cast<bool>(ls >> key) && key == name,
-           "bad checkpoint field: expected '" << name << "'");
-  std::vector<real_t> v;
-  v.reserve(n);
-  real_t x = 0.0;
-  while (ls >> x) v.push_back(x);
-  LS_CHECK(v.size() == n, "checkpoint vector '"
-                              << name << "' has " << v.size()
-                              << " entries, expected " << n);
-  return v;
+void get(const char*& at, void* dst, std::size_t bytes) {
+  if (bytes > 0) std::memcpy(dst, at, bytes);
+  at += bytes;
 }
 
 }  // namespace
@@ -44,38 +41,46 @@ void save_smo_checkpoint(const std::string& path, const SmoCheckpoint& ck) {
   LS_FAILPOINT("svm.checkpoint.save");
   LS_CHECK(ck.alpha.size() == ck.f.size(),
            "inconsistent checkpoint: alpha/f size mismatch");
-  atomic_write_file(path, [&](std::ostream& out) {
-    out << kCheckpointMagic << '\n';
-    out << "iteration " << ck.iteration << '\n';
-    out << "n " << ck.alpha.size() << '\n';
-    write_vector(out, "alpha", ck.alpha);
-    write_vector(out, "f", ck.f);
-  });
+  const std::uint64_t iteration = static_cast<std::uint64_t>(ck.iteration);
+  const std::uint64_t n = ck.alpha.size();
+  const std::size_t vec_bytes = n * sizeof(real_t);
+  std::string record(kHeaderLen + 2 * vec_bytes, '\0');
+  char* at = record.data();
+  put(at, kCheckpointMagic, kMagicLen);
+  put(at, &iteration, sizeof(iteration));
+  put(at, &n, sizeof(n));
+  put(at, ck.alpha.data(), vec_bytes);
+  put(at, ck.f.data(), vec_bytes);
+  atomic_write_file(path, record);
 }
 
 SmoCheckpoint load_smo_checkpoint(const std::string& path) {
-  std::istringstream in(read_file_verified(path));
-  std::string line;
-  LS_CHECK(std::getline(in, line) && line == kCheckpointMagic,
+  const std::string bytes = read_file_verified(path);
+  LS_CHECK(bytes.size() >= kHeaderLen &&
+               bytes.compare(0, kMagicLen, kCheckpointMagic) == 0,
            "bad checkpoint magic in " << path);
+  const char* at = bytes.data() + kMagicLen;
+  std::uint64_t iteration = 0;
+  std::uint64_t n = 0;
+  get(at, &iteration, sizeof(iteration));
+  get(at, &n, sizeof(n));
+  // Exact length, with n bounded before it is multiplied: a truncated
+  // file, or one whose CRC footer tag was damaged (and so read back with
+  // the footer still attached), cannot match.
+  const std::size_t payload = bytes.size() - kHeaderLen;
+  LS_CHECK(n <= payload / (2 * sizeof(real_t)) &&
+               payload == n * 2 * sizeof(real_t),
+           "checkpoint " << path << " is " << bytes.size()
+                         << " bytes, which does not fit n = " << n);
+  LS_CHECK(iteration <= static_cast<std::uint64_t>(
+                            std::numeric_limits<index_t>::max()),
+           "bad checkpoint iteration in " << path);
   SmoCheckpoint ck;
-  std::string key;
-  std::size_t n = 0;
-  LS_CHECK(std::getline(in, line), "checkpoint truncated at iteration");
-  {
-    std::istringstream ls(line);
-    LS_CHECK(static_cast<bool>(ls >> key >> ck.iteration) &&
-                 key == "iteration" && ck.iteration >= 0,
-             "bad checkpoint iteration line: '" << line << "'");
-  }
-  LS_CHECK(std::getline(in, line), "checkpoint truncated at n");
-  {
-    std::istringstream ls(line);
-    LS_CHECK(static_cast<bool>(ls >> key >> n) && key == "n",
-             "bad checkpoint n line: '" << line << "'");
-  }
-  ck.alpha = read_vector(in, "alpha", n);
-  ck.f = read_vector(in, "f", n);
+  ck.iteration = static_cast<index_t>(iteration);
+  ck.alpha.resize(n);
+  ck.f.resize(n);
+  get(at, ck.alpha.data(), n * sizeof(real_t));
+  get(at, ck.f.data(), n * sizeof(real_t));
   return ck;
 }
 
@@ -90,8 +95,8 @@ std::optional<SmoCheckpoint> try_load_smo_checkpoint(const std::string& path,
     }
     return ck;
   } catch (const Error&) {
-    // Corrupt snapshot (crashed writer predating atomic saves, bit rot):
-    // resuming from garbage is worse than restarting.
+    // Corrupt snapshot (crashed writer predating atomic saves, bit rot, a
+    // v1 text snapshot): resuming from garbage is worse than restarting.
     return std::nullopt;
   }
 }

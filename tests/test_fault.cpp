@@ -7,7 +7,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -116,6 +118,41 @@ TEST(FsAtomic, Crc32MatchesKnownVector) {
   const std::string s = "123456789";
   const std::uint32_t chained = crc32(s.data() + 4, 5, crc32(s.data(), 4));
   EXPECT_EQ(chained, crc32(s));
+}
+
+/// Byte-at-a-time CRC32, the definition the sliced crc32 must agree with.
+std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t n,
+                             std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(FsAtomic, SlicedCrc32MatchesBytewiseReference) {
+  Rng rng(0xC3C3);
+  std::vector<unsigned char> buf(1024 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng());
+  // Every length 0-1024 at every start offset 0-7, so the 8-byte step
+  // meets every alignment and every tail length.
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(crc32(buf.data() + off, len),
+                crc32_bytewise(buf.data() + off, len))
+          << "offset " << off << ", length " << len;
+    }
+  }
+  // Chained calls split anywhere equal the one-shot checksum.
+  const std::uint32_t whole = crc32_bytewise(buf.data(), buf.size());
+  for (std::size_t cut = 0; cut <= buf.size(); cut += 13) {
+    const std::uint32_t head = crc32(buf.data(), cut);
+    EXPECT_EQ(crc32(buf.data() + cut, buf.size() - cut, head), whole)
+        << "cut at " << cut;
+  }
 }
 
 TEST(FsAtomic, RoundTripWithFooter) {
@@ -445,6 +482,123 @@ TEST(SvmCheckpoint, SnapshotFileRoundTrips) {
   EXPECT_THROW(load_smo_checkpoint(path), Error);
   remove_checkpoint(path);
   EXPECT_FALSE(try_load_smo_checkpoint(path).has_value());
+}
+
+bool same_snapshot(const SmoCheckpoint& a, const SmoCheckpoint& b) {
+  const auto same_bits = [](const std::vector<real_t>& x,
+                            const std::vector<real_t>& y) {
+    return x.size() == y.size() &&
+           (x.empty() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(real_t)) == 0);
+  };
+  return a.iteration == b.iteration && same_bits(a.alpha, b.alpha) &&
+         same_bits(a.f, b.f);
+}
+
+TEST(SvmCheckpoint, RoundTripIsBitExact) {
+  Rng rng(0xB17E);
+  SmoCheckpoint ck;
+  ck.iteration = 123456789;
+  ck.alpha = {-0.0, std::numeric_limits<real_t>::denorm_min(), 1e-310,
+              1e-300, std::numeric_limits<real_t>::max()};
+  ck.f = {0.0, -std::numeric_limits<real_t>::denorm_min(), -1e-310,
+          -1e-300, std::numeric_limits<real_t>::lowest()};
+  for (int i = 0; i < 64; ++i) {
+    real_t a = 0.0;
+    real_t f = 0.0;
+    const std::uint64_t ab = rng();
+    const std::uint64_t fb = rng();
+    std::memcpy(&a, &ab, sizeof(a));  // any bit pattern, NaNs included
+    std::memcpy(&f, &fb, sizeof(f));
+    ck.alpha.push_back(a);
+    ck.f.push_back(f);
+  }
+  const std::string path = tmp_path("smo_ck_bits.bin");
+  save_smo_checkpoint(path, ck);
+  EXPECT_TRUE(same_snapshot(load_smo_checkpoint(path), ck));
+  remove_checkpoint(path);
+}
+
+TEST(SvmCheckpoint, TextV1FileCountsAsAbsent) {
+  // A snapshot in the retired text encoding, CRC footer intact.
+  const std::string path = tmp_path("smo_ck_v1.txt");
+  atomic_write_file(path,
+                    "ls_smo_checkpoint v1\niteration 42\nn 3\n"
+                    "alpha 0 0.25 1\nf -1 0.5 2\n");
+  EXPECT_FALSE(try_load_smo_checkpoint(path, 3).has_value());
+  EXPECT_THROW(load_smo_checkpoint(path), Error);
+  remove_checkpoint(path);
+}
+
+TEST(SvmCheckpoint, DamagedFileNeverLoadsAsADifferentSnapshot) {
+  // Every proper prefix and every flip of one byte of a saved snapshot
+  // either counts as absent or still loads as the original: a prefix that
+  // ends where the footer starts is a valid footer-less file, and the
+  // footer's final newline is not covered by the CRC.
+  SmoCheckpoint ck;
+  ck.iteration = 42;
+  ck.alpha = {0.0, 0.25, 1.0};
+  ck.f = {-1.0, 0.5, 2.0};
+  const std::string path = tmp_path("smo_ck_good.bin");
+  save_smo_checkpoint(path, ck);
+  const std::string good = read_raw(path);
+  const std::string bad = tmp_path("smo_ck_damaged.bin");
+  const auto check = [&](const std::string& bytes, const std::string& what) {
+    write_raw(bad, bytes);
+    const auto back = try_load_smo_checkpoint(bad);
+    EXPECT_TRUE(!back.has_value() || same_snapshot(*back, ck)) << what;
+  };
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    check(good.substr(0, len), "prefix of " + std::to_string(len));
+  }
+  // Each byte inverted, and each of its bits flipped alone.
+  const int masks[] = {0xFF, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80};
+  for (std::size_t at = 0; at < good.size(); ++at) {
+    for (const int mask : masks) {
+      std::string flipped = good;
+      flipped[at] = static_cast<char>(flipped[at] ^ mask);
+      check(flipped, "byte " + std::to_string(at) + " ^ " +
+                         std::to_string(mask));
+    }
+  }
+  remove_checkpoint(path);
+  remove_checkpoint(bad);
+}
+
+TEST(SvmCheckpoint, DamagedFooterTagCountsAsAbsent) {
+  // With its "#crc32 " tag damaged the footer reads back as payload, so
+  // the record is 16 bytes longer than its n allows.
+  SmoCheckpoint ck;
+  ck.iteration = 42;
+  ck.alpha = {0.0, 0.25, 1.0};
+  ck.f = {-1.0, 0.5, 2.0};
+  const std::string path = tmp_path("smo_ck_tag.bin");
+  save_smo_checkpoint(path, ck);
+  std::string raw = read_raw(path);
+  const std::size_t tag = raw.size() - 16;
+  ASSERT_EQ(raw.compare(tag, 7, kCrcFooterTag), 0);
+  raw[tag] = '$';
+  write_raw(path, raw);
+  EXPECT_FALSE(try_load_smo_checkpoint(path, 3).has_value());
+  remove_checkpoint(path);
+}
+
+TEST(SvmCheckpoint, FileIsHeaderPlusSixteenBytesPerSample) {
+  // Magic line, u64 iteration, u64 n, n f64 alpha + n f64 f, CRC footer.
+  const std::size_t magic = std::string("ls_smo_checkpoint v2\n").size();
+  const std::size_t footer = std::string(kCrcFooterTag).size() + 9;
+  const std::string path = tmp_path("smo_ck_size.bin");
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3},
+                              std::size_t{4096}}) {
+    SmoCheckpoint ck;
+    ck.iteration = 256;
+    ck.alpha.assign(n, 0.5);
+    ck.f.assign(n, -1.0);
+    save_smo_checkpoint(path, ck);
+    EXPECT_EQ(read_raw(path).size(), magic + 16 + 16 * n + footer)
+        << "n = " << n;
+  }
+  remove_checkpoint(path);
 }
 
 TEST(SvmCheckpoint, ResumedRunMatchesUninterrupted) {
