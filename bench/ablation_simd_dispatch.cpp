@@ -11,9 +11,10 @@
 // execution already extracts the ILP on the scalar side and the vector
 // win collapses to the host's gather throughput (see DESIGN.md §16) —
 // near 1x on machines that microcode vgatherqpd, 2x+ where it is fast.
-// The SMO working-set scans (wss_high_low, wss_gain) are reported as ns
-// per element at every level for n in {450, 2265, 4096} (breast_cancer-,
-// adult- and stream-window-sized problems); not gated.
+// The SMO scans (wss_high_low, wss_gain, and smo_update_select, the Eq. 4
+// update fused with the high/low scan) are reported as ns per element at
+// every level for n in {450, 2265, 4096} (breast_cancer-, adult- and
+// stream-window-sized problems); not gated.
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -69,11 +70,13 @@ PathTiming time_level(SimdLevel level, const AnyMatrix& den,
 
 constexpr std::array<index_t, 3> kScanSizes = {450, 2265, 4096};
 
-/// ns per element of the fused high/low scan and of the gain scan at the
-/// active level, for each of kScanSizes.
+/// ns per element of the high/low scan, the gain scan and the update
+/// fused with the high/low scan at the active level, for each of
+/// kScanSizes.
 struct ScanTiming {
   std::array<double, kScanSizes.size()> high_low;
   std::array<double, kScanSizes.size()> gain;
+  std::array<double, kScanSizes.size()> update_select;
 };
 
 /// Inputs shaped like a mid-solve SMO state: about half the samples in
@@ -86,11 +89,12 @@ ScanTiming time_scans(SimdLevel level) {
     const index_t n = kScanSizes[s];
     const auto un = static_cast<std::size_t>(n);
     Rng rng(0x5CA7ull + un);
-    std::vector<real_t> f(un), kdiag(un, 1.0), k_high(un);
+    std::vector<real_t> f(un), kdiag(un, 1.0), k_high(un), k_low(un);
     std::vector<std::uint8_t> status(un);
     for (std::size_t i = 0; i < un; ++i) {
       f[i] = rng.uniform(-1.0, 1.0);
       k_high[i] = rng.uniform(0.0, 1.0);
+      k_low[i] = rng.uniform(0.0, 1.0);
       status[i] = static_cast<std::uint8_t>(rng.uniform_int(1, 3));
     }
     std::array<simd::Argmax, 2> hl{};
@@ -119,6 +123,19 @@ ScanTiming time_scans(SimdLevel level) {
                                  }
                                },
                                5, 0.05);
+    // Alternate the step's sign so f stays near its start over the reps.
+    t.update_select[s] =
+        per_elem * time_best(
+                       [&] {
+                         for (int r = 0; r < kReps; ++r) {
+                           const real_t d = r % 2 ? -1e-3 : 1e-3;
+                           kt.smo_update_select(f.data(), k_high.data(),
+                                                k_low.data(), d, -d,
+                                                status.data(), n, hl.data());
+                           sink = hl[1].index;
+                         }
+                       },
+                       5, 0.05);
     (void)sink;
   }
   return t;
@@ -142,12 +159,13 @@ int main() {
 
   Table table({"Level", "W", "DEN x1", "DEN x16", "CSR x1", "CSR x16"});
   Table scan_table({"Level", "high/low n=450", "n=2265", "n=4096",
-                    "gain n=450", "n=2265", "n=4096"});
+                    "gain n=450", "n=2265", "n=4096", "update+select n=450",
+                    "n=2265", "n=4096"});
   std::vector<std::string> columns = {
       "level", "width", "den_single_speedup", "den_batch_speedup",
       "csr_single_speedup", "csr_batch_speedup", "den_single_seconds",
       "csr_single_seconds"};
-  for (const char* kernel : {"high_low", "gain"}) {
+  for (const char* kernel : {"high_low", "gain", "update_select"}) {
     for (index_t n : kScanSizes) {
       columns.push_back(std::string("scan_") + kernel + "_ns_per_elem_n" +
                         std::to_string(n));
@@ -190,7 +208,8 @@ int main() {
         fmt_double(s_csrb, 3), fmt_double(t.den_single, 9),
         fmt_double(t.csr_single, 9)};
     std::vector<std::string> scan_row = {std::string(simd::level_name(level))};
-    for (const auto* per_n : {&scans.high_low, &scans.gain}) {
+    for (const auto* per_n :
+         {&scans.high_low, &scans.gain, &scans.update_select}) {
       for (double ns : *per_n) {
         row.push_back(fmt_double(ns, 3));
         scan_row.push_back(fmt_double(ns, 2) + " ns");
@@ -207,8 +226,10 @@ int main() {
       "the dense-gather paths and the batched CSR SMSV path. The single-rhs\n"
       "CSR dot is gather-throughput-bound (rows are independent, so OOO\n"
       "already parallelises the scalar chain) and is reported, not gated.\n");
-  std::printf("\nSMO working-set scans, ns per element (single thread):\n%s\n",
-              scan_table.str().c_str());
+  std::printf(
+      "\nSMO scans, ns per element (single thread); update+select is the\n"
+      "Eq. 4 update of f fused with the next high/low scan:\n%s\n",
+      scan_table.str().c_str());
   bench::finish(csv, "ablation_simd_dispatch");
 
   const bool vector_host = simd::best_supported() >= SimdLevel::kAVX2;

@@ -121,6 +121,19 @@ PY
   rm -f "${sock}"
 }
 
+# run_soak BUILD_DIR NAME [ARGS...]: runs the in-process soak
+# BUILD_DIR/bench/NAME from a scratch working directory, so the files it
+# writes under bench_results/ do not overwrite the committed ones.
+run_soak() {
+  local bin dir status=0
+  bin="${PWD}/$1/bench/$2"
+  shift 2
+  dir="$(mktemp -d /tmp/ls_soak.XXXXXX)"
+  (cd "${dir}" && "${bin}" "$@") || status=$?
+  rm -rf "${dir}"
+  return "${status}"
+}
+
 chaos_smoke() {
   # Robustness smoke, two layers:
   #   1. the in-process chaos soak (bench/serve_chaos): concurrent clients,
@@ -133,7 +146,7 @@ chaos_smoke() {
   #      SIGTERM must drain the daemon to zero open connections.
   local build_dir="$1"
   echo "==> chaos smoke (${build_dir})"
-  "./${build_dir}/bench/serve_chaos" --requests 2000 --concurrency 6
+  run_soak "${build_dir}" serve_chaos --requests 2000 --concurrency 6
   local sock log
   sock="$(mktemp -u /tmp/ls_serve_chaos.XXXXXX.sock)"
   log="$(mktemp /tmp/ls_serve_chaos.XXXXXX.log)"
@@ -331,7 +344,7 @@ train_serve_smoke() {
   # both daemons to zero open connections.
   local build_dir="$1"
   echo "==> train-serve smoke (${build_dir})"
-  "./${build_dir}/bench/train_serve_chaos"
+  run_soak "${build_dir}" train_serve_chaos
   local base tsock ssock tlog slog model
   base="$(mktemp -u /tmp/ls_train_smoke.XXXXXX)"
   tsock="${base}_trainer.sock"
@@ -591,7 +604,7 @@ if [[ "${mode}" == "all" || "${mode}" == "--sanitize-only" ]]; then
   # the checkpoint decoder, which copies file bytes by a length read from
   # the file, runs under ASan+UBSan too, not only under TSan.
   echo "==> train-serve chaos (build-asan)"
-  ./build-asan/bench/train_serve_chaos
+  run_soak build-asan train_serve_chaos
 fi
 
 if [[ "${mode}" == "all" || "${mode}" == "--tsan-only" ]]; then

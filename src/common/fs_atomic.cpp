@@ -127,7 +127,7 @@ void atomic_write_file(const std::string& path,
   atomic_write_file(path, os.str(), with_crc_footer);
 }
 
-std::string read_file_verified(const std::string& path) {
+std::string read_file_verified(const std::string& path, bool require_footer) {
   std::ifstream in(path, std::ios::binary);
   LS_CHECK(in.good(), "cannot open file: " << path);
   std::ostringstream os;
@@ -137,21 +137,24 @@ std::string read_file_verified(const std::string& path) {
 
   // The footer, when present, is the final "#crc32 xxxxxxxx\n" line.
   constexpr std::size_t kFooterLen = 16;  // 7 tag + 8 hex + '\n'
-  if (bytes.size() >= kFooterLen) {
+  const bool has_footer =
+      bytes.size() >= kFooterLen &&
+      bytes.compare(bytes.size() - kFooterLen, 7, kCrcFooterTag) == 0;
+  LS_CHECK(has_footer || !require_footer, "no CRC footer in " << path);
+  if (has_footer) {
     const std::size_t at = bytes.size() - kFooterLen;
-    if (bytes.compare(at, 7, kCrcFooterTag) == 0) {
-      const std::string hex = bytes.substr(at + 7, 8);
-      LS_CHECK(hex.find_first_not_of("0123456789abcdef") == std::string::npos,
-               "malformed CRC footer in " << path);
-      const std::uint32_t stored =
-          static_cast<std::uint32_t>(std::stoul(hex, nullptr, 16));
-      bytes.resize(at);
-      const std::uint32_t actual = crc32(bytes);
-      LS_CHECK(stored == actual,
-               "CRC mismatch in " << path << ": footer says " << stored
-                                  << ", content hashes to " << actual
-                                  << " — file is corrupt");
-    }
+    const std::string hex = bytes.substr(at + 7, 8);
+    LS_CHECK(hex.find_first_not_of("0123456789abcdef") == std::string::npos &&
+                 bytes.back() == '\n',
+             "malformed CRC footer in " << path);
+    const std::uint32_t stored =
+        static_cast<std::uint32_t>(std::stoul(hex, nullptr, 16));
+    bytes.resize(at);
+    const std::uint32_t actual = crc32(bytes);
+    LS_CHECK(stored == actual,
+             "CRC mismatch in " << path << ": footer says " << stored
+                                << ", content hashes to " << actual
+                                << " — file is corrupt");
   }
   return bytes;
 }

@@ -9,7 +9,8 @@
 // read_file_verified() is the matching reader: it recomputes the CRC32 over
 // the payload and throws ls::Error when the footer does not match, turning
 // silent corruption (bit rot, partial copies) into a loud, recoverable
-// error. Files written before the footer existed load unchanged.
+// error. Files written before the footer existed load unchanged, unless
+// the caller requires one.
 #pragma once
 
 #include <cstddef>
@@ -43,8 +44,10 @@ void atomic_write_file(const std::string& path,
                        bool with_crc_footer = true);
 
 /// Reads the whole file. A trailing CRC footer is verified and stripped
-/// (ls::Error on mismatch); a file without a footer is returned verbatim.
-std::string read_file_verified(const std::string& path);
+/// (ls::Error on mismatch or a malformed footer); a file without a footer
+/// is returned verbatim, unless `require_footer` is set, when it throws.
+std::string read_file_verified(const std::string& path,
+                               bool require_footer = false);
 
 /// True when `path` names an existing regular file.
 bool file_exists(const std::string& path);

@@ -47,6 +47,7 @@ struct Avx2Ops {
   static mask gt(reg a, reg b) { return _mm256_cmp_pd(a, b, _CMP_GT_OQ); }
   static mask le(reg a, reg b) { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
   static mask both(mask a, mask b) { return _mm256_and_pd(a, b); }
+  static bool any(mask m) { return _mm256_movemask_pd(m) != 0; }
   static reg select(mask m, reg a, reg b) { return _mm256_blendv_pd(b, a, m); }
 };
 

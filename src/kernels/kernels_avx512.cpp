@@ -46,6 +46,7 @@ struct Avx512Ops {
   static mask gt(reg a, reg b) { return _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ); }
   static mask le(reg a, reg b) { return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ); }
   static mask both(mask a, mask b) { return static_cast<mask>(a & b); }
+  static bool any(mask m) { return m != 0; }
   static reg select(mask m, reg a, reg b) {
     return _mm512_mask_blend_pd(m, b, a);
   }

@@ -43,6 +43,9 @@ struct NeonOps {
   static mask gt(reg a, reg b) { return vcgtq_f64(a, b); }
   static mask le(reg a, reg b) { return vcleq_f64(a, b); }
   static mask both(mask a, mask b) { return vandq_u64(a, b); }
+  static bool any(mask m) {
+    return (vgetq_lane_u64(m, 0) | vgetq_lane_u64(m, 1)) != 0;
+  }
   static reg select(mask m, reg a, reg b) { return vbslq_f64(m, a, b); }
 };
 

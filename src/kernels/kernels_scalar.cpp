@@ -96,6 +96,21 @@ Argmax wss_gain(const real_t* __restrict f,
   return best;
 }
 
+void smo_update_select(real_t* __restrict f, const real_t* __restrict k_high,
+                       const real_t* __restrict k_low, real_t d_hi,
+                       real_t d_lo, const std::uint8_t* __restrict status,
+                       index_t n, Argmax* out) {
+  Argmax high = kNoArgmax;
+  Argmax low = kNoArgmax;
+  for (index_t i = 0; i < n; ++i) {
+    f[i] += d_hi * k_high[i] + d_lo * k_low[i];
+    if ((status[i] & kInHigh) && -f[i] > high.value) high = {-f[i], i};
+    if ((status[i] & kInLow) && f[i] > low.value) low = {f[i], i};
+  }
+  out[0] = high;
+  out[1] = low;
+}
+
 }  // namespace
 
 const KernelTable& scalar_table() {
@@ -110,6 +125,7 @@ const KernelTable& scalar_table() {
       gather_axpy_batch,
       wss_high_low,
       wss_gain,
+      smo_update_select,
   };
   return table;
 }

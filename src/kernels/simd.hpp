@@ -18,10 +18,12 @@
 // the single-rhs product at the same level. Across levels results differ
 // only by accumulation order (ULP-bounded vs scalar).
 //
-// The two SMO working-set scans (wss_high_low, wss_gain) are the
-// exception: they return an index, not an accumulation, and every score is
-// an element-wise IEEE expression, so every level returns exactly the
-// scalar table's index.
+// The SMO kernels (wss_high_low, wss_gain, smo_update_select) are the
+// exception: they return an index, not an accumulation, and every score
+// and every updated f is an element-wise IEEE expression, so every level
+// returns exactly the scalar table's index and writes exactly its f.
+// smo_update_select is SMO's Eq. 4 update of f fused with the next
+// iteration's high/low pass: one read of f instead of two.
 #pragma once
 
 #include <cstdint>
@@ -115,6 +117,15 @@ struct KernelTable {
   Argmax (*wss_gain)(const real_t* f, const std::uint8_t* status,
                      const real_t* kdiag, const real_t* k_high, index_t n,
                      real_t b_high, real_t k_hh, real_t eta_floor);
+
+  /// SMO's Eq. 4 update fused with the next wss_high_low pass: for i in
+  /// [0, n), f[i] = f[i] + (d_hi * k_high[i] + d_lo * k_low[i]) with
+  /// separate multiplies and adds (never fused), then out[] exactly as
+  /// wss_high_low returns it over the updated f.
+  void (*smo_update_select)(real_t* f, const real_t* k_high,
+                            const real_t* k_low, real_t d_hi, real_t d_lo,
+                            const std::uint8_t* status, index_t n,
+                            Argmax* out);
 };
 
 /// Lower-case level name ("scalar", "neon", "avx2", "avx512").

@@ -22,6 +22,7 @@
 //   mask gt(reg a, reg b), le(reg a, reg b)
 //                                      — ordered compares (false on NaN)
 //   mask both(mask, mask)              — lane-wise and
+//   bool any(mask)                     — true when some lane is set
 //   reg  select(mask m, reg a, reg b)  — lane l: m ? a : b
 //
 // Sharing one body per kernel across ISAs is what enforces the
@@ -204,13 +205,15 @@ void vk_gather_axpy_batch(const real_t* __restrict v,
   }
 }
 
-// SMO working-set scans. Lane l of a W-wide scan keeps the best score it
-// has seen (strict compare, so the lowest of its indices wins a tie and
-// NaN never wins) with that element's index, held as a double (exact
-// below 2^53). vk_fold_lanes then picks the best lane, lowest index first,
-// and the tail continues the scalar loop — so every level returns exactly
-// the scalar table's index. Scores are element-wise IEEE expressions
-// (the TUs build with -ffp-contract=off), never accumulations.
+// SMO working-set scans, one of them fused with the Eq. 4 update of f.
+// Lane l of a W-wide scan keeps the best score it has seen (strict
+// compare, so the lowest of its indices wins a tie and NaN never wins)
+// with that element's index, held as a double (exact below 2^53).
+// vk_fold_lanes then picks the best lane, lowest index first, and the tail
+// continues the scalar loop — so every level returns exactly the scalar
+// table's index. Scores and updated f values are element-wise IEEE
+// expressions (the TUs build with -ffp-contract=off), never
+// accumulations.
 
 inline constexpr double kLaneIota[8] = {0, 1, 2, 3, 4, 5, 6, 7};
 
@@ -238,9 +241,8 @@ struct HighLowLanes {
   typename V::reg low_f = V::broadcast(-std::numeric_limits<double>::infinity());
   typename V::reg low_i = V::broadcast(-1.0);
 
-  void update(const real_t* f, const std::uint8_t* status,
+  void update(typename V::reg fv, const std::uint8_t* status,
               typename V::reg idx) {
-    const typename V::reg fv = V::loadu(f);
     const typename V::mask h =
         V::both(V::flags(status, kInHigh), V::gt(high_f, fv));
     const typename V::mask l =
@@ -252,10 +254,12 @@ struct HighLowLanes {
   }
 };
 
-template <class V>
-void vk_wss_high_low(const real_t* __restrict f,
-                     const std::uint8_t* __restrict status, index_t n,
-                     Argmax* out) {
+/// Shared body of the two high/low passes over i in [0, n): `block(i)`
+/// yields f[i, i + W) as a register and `elem(i)` yields f[i]; each is
+/// called once per element, blocks in increasing order, then the tail.
+template <class V, class Block, class Elem>
+void vk_high_low(const std::uint8_t* __restrict status, index_t n,
+                 Argmax* out, Block&& block, Elem&& elem) {
   constexpr int W = V::W;
   index_t i = 0;
   Argmax high = kNoArgmax;
@@ -269,13 +273,13 @@ void vk_wss_high_low(const real_t* __restrict f,
     typename V::reg idx = V::loadu(kLaneIota);
     const typename V::reg step = V::broadcast(static_cast<double>(W));
     for (; i + 2 * W <= n; i += 2 * W) {
-      a.update(f + i, status + i, idx);
+      a.update(block(i), status + i, idx);
       idx = V::add(idx, step);
-      b.update(f + i + W, status + i + W, idx);
+      b.update(block(i + W), status + i + W, idx);
       idx = V::add(idx, step);
     }
     if (i + W <= n) {
-      a.update(f + i, status + i, idx);
+      a.update(block(i), status + i, idx);
       i += W;
     }
     alignas(64) double value[2 * W];
@@ -293,11 +297,44 @@ void vk_wss_high_low(const real_t* __restrict f,
     low = vk_fold_lanes<2 * W>(value, index);
   }
   for (; i < n; ++i) {
-    if ((status[i] & kInHigh) && -f[i] > high.value) high = {-f[i], i};
-    if ((status[i] & kInLow) && f[i] > low.value) low = {f[i], i};
+    const real_t fi = elem(i);
+    if ((status[i] & kInHigh) && -fi > high.value) high = {-fi, i};
+    if ((status[i] & kInLow) && fi > low.value) low = {fi, i};
   }
   out[0] = high;
   out[1] = low;
+}
+
+template <class V>
+void vk_wss_high_low(const real_t* __restrict f,
+                     const std::uint8_t* __restrict status, index_t n,
+                     Argmax* out) {
+  vk_high_low<V>(
+      status, n, out, [f](index_t i) { return V::loadu(f + i); },
+      [f](index_t i) { return f[i]; });
+}
+
+template <class V>
+void vk_smo_update_select(real_t* __restrict f,
+                          const real_t* __restrict k_high,
+                          const real_t* __restrict k_low, real_t d_hi,
+                          real_t d_lo, const std::uint8_t* __restrict status,
+                          index_t n, Argmax* out) {
+  const typename V::reg dh = V::broadcast(d_hi);
+  const typename V::reg dl = V::broadcast(d_lo);
+  // The scalar expression f + (d_hi*kh + d_lo*kl), lane by lane.
+  vk_high_low<V>(
+      status, n, out,
+      [=](index_t i) {
+        const typename V::reg fv =
+            V::add(V::loadu(f + i), V::add(V::mul(dh, V::loadu(k_high + i)),
+                                           V::mul(dl, V::loadu(k_low + i))));
+        V::storeu(f + i, fv);
+        return fv;
+      },
+      [=](index_t i) {
+        return f[i] = f[i] + (d_hi * k_high[i] + d_lo * k_low[i]);
+      });
 }
 
 template <class V>
@@ -320,18 +357,19 @@ Argmax vk_wss_gain(const real_t* __restrict f,
         V::broadcast(-std::numeric_limits<double>::infinity());
     typename V::reg best_i = V::broadcast(-1.0);
     typename V::reg idx = V::loadu(kLaneIota);
-    for (; i + W <= n; i += W) {
+    for (; i + W <= n; i += W, idx = V::add(idx, step)) {
       const typename V::reg b = V::sub(V::loadu(f + i), bh);
+      const typename V::mask candidate =
+          V::both(V::flags(status + i, kInLow), V::gt(b, zero));
+      // A block with no candidate cannot set `take`: skip its divide.
+      if (!V::any(candidate)) continue;
       typename V::reg eta = V::sub(V::add(khh, V::loadu(kdiag + i)),
                                    V::mul(two, V::loadu(k_high + i)));
       eta = V::select(V::le(eta, zero), floor, eta);
       const typename V::reg gain = V::div(V::mul(b, b), eta);
-      const typename V::mask take =
-          V::both(V::both(V::flags(status + i, kInLow), V::gt(b, zero)),
-                  V::gt(gain, best_v));
+      const typename V::mask take = V::both(candidate, V::gt(gain, best_v));
       best_v = V::select(take, gain, best_v);
       best_i = V::select(take, idx, best_i);
-      idx = V::add(idx, step);
     }
     alignas(64) double value[W];
     alignas(64) double index[W];
@@ -365,6 +403,7 @@ KernelTable make_vector_table(SimdLevel level) {
       &vk_gather_axpy_batch<V>,
       &vk_wss_high_low<V>,
       &vk_wss_gain<V>,
+      &vk_smo_update_select<V>,
   };
 }
 

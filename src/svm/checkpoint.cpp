@@ -55,7 +55,9 @@ void save_smo_checkpoint(const std::string& path, const SmoCheckpoint& ck) {
 }
 
 SmoCheckpoint load_smo_checkpoint(const std::string& path) {
-  const std::string bytes = read_file_verified(path);
+  // Every snapshot is written with a footer, so a file without one is a
+  // truncated (or foreign) file, never a snapshot.
+  const std::string bytes = read_file_verified(path, /*require_footer=*/true);
   LS_CHECK(bytes.size() >= kHeaderLen &&
                bytes.compare(0, kMagicLen, kCheckpointMagic) == 0,
            "bad checkpoint magic in " << path);
@@ -64,9 +66,8 @@ SmoCheckpoint load_smo_checkpoint(const std::string& path) {
   std::uint64_t n = 0;
   get(at, &iteration, sizeof(iteration));
   get(at, &n, sizeof(n));
-  // Exact length, with n bounded before it is multiplied: a truncated
-  // file, or one whose CRC footer tag was damaged (and so read back with
-  // the footer still attached), cannot match.
+  // Exact length, with n bounded before it is multiplied: a record whose
+  // n disagrees with its own size cannot load, whatever its footer says.
   const std::size_t payload = bytes.size() - kHeaderLen;
   LS_CHECK(n <= payload / (2 * sizeof(real_t)) &&
                payload == n * 2 * sizeof(real_t),

@@ -24,8 +24,8 @@ void save_smo_checkpoint(const std::string& path, const SmoCheckpoint& ck);
 SmoCheckpoint load_smo_checkpoint(const std::string& path);
 
 /// Lenient load for resume paths: returns nullopt when the file is
-/// missing, truncated, corrupt, or sized for a different problem
-/// (`expected_n` > 0 enforces the sample count).
+/// missing, truncated, has no CRC footer, is corrupt, or is sized for a
+/// different problem (`expected_n` > 0 enforces the sample count).
 std::optional<SmoCheckpoint> try_load_smo_checkpoint(const std::string& path,
                                                      index_t expected_n = 0);
 

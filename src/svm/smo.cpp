@@ -82,17 +82,16 @@ T scan_blocks(index_t n, T init, Scan&& scan, Fold&& fold) {
 
 }  // namespace
 
-bool SmoSolver::select_high(Selection& sel) const {
+template <class Scan>
+bool SmoSolver::select_high_low(Selection& sel, Scan&& scan) const {
   using Pair = std::array<simd::Argmax, 2>;
-  const simd::KernelTable& kt = simd::kernels();
   // Ties keep the lowest index at any level and any block split, so the
   // model is bit-identical across thread counts and SIMD levels.
   const Pair best = scan_blocks(
       n_, Pair{simd::kNoArgmax, simd::kNoArgmax},
       [&](index_t lo, index_t hi) {
         Pair r;
-        kt.wss_high_low(f_.data() + lo, status_.data() + lo, hi - lo,
-                        r.data());
+        scan(lo, hi, r.data());
         for (simd::Argmax& a : r) {
           if (a.index >= 0) a.index += lo;
         }
@@ -109,6 +108,25 @@ bool SmoSolver::select_high(Selection& sel) const {
   sel.b_low = sel.low >= 0 ? f_[static_cast<std::size_t>(sel.low)]
                            : -std::numeric_limits<real_t>::infinity();
   return sel.high >= 0 && std::isfinite(sel.b_low);
+}
+
+bool SmoSolver::select_high(Selection& sel) const {
+  const simd::KernelTable& kt = simd::kernels();
+  return select_high_low(sel, [&](index_t lo, index_t hi, simd::Argmax* out) {
+    kt.wss_high_low(f_.data() + lo, status_.data() + lo, hi - lo, out);
+  });
+}
+
+bool SmoSolver::update_and_select_high(real_t d_hi, real_t d_lo,
+                                       std::span<const real_t> k_high,
+                                       std::span<const real_t> k_low,
+                                       Selection& sel) {
+  const simd::KernelTable& kt = simd::kernels();
+  real_t* f = f_.data();
+  return select_high_low(sel, [&](index_t lo, index_t hi, simd::Argmax* out) {
+    kt.smo_update_select(f + lo, k_high.data() + lo, k_low.data() + lo, d_hi,
+                         d_lo, status_.data() + lo, hi - lo, out);
+  });
 }
 
 bool SmoSolver::select_low(Selection& sel,
@@ -260,9 +278,15 @@ SolveStats SmoSolver::solve() {
   const index_t gap_interval = std::max<index_t>(1, params_.trace_interval);
 
   index_t iter = resume_iteration_;
+  // `sel` is the selection the current iteration acts on; `next` is the
+  // one the fused Eq. 4 update found for the iteration after it. Traces,
+  // the KKT gap and the exit values all report `sel`.
   Selection sel;
+  Selection next;
+  bool next_ok = iter < max_iter && select_high(next);
   while (iter < max_iter) {
-    if (!select_high(sel)) break;  // all samples at compatible bounds
+    sel = next;
+    if (!next_ok) break;  // all samples at compatible bounds
 
     // Convergence test (Alg. 1 step 12, inverted).
     if (sel.b_low <= sel.b_high + 2 * params_.tolerance) {
@@ -314,15 +338,11 @@ SolveStats SmoSolver::solve() {
     refresh_status(lo);
     refresh_status(hi);
 
-    // Eq. (4): rank-2 update of every optimality indicator.
+    // Eq. (4): rank-2 update of every optimality indicator, fused with the
+    // next iteration's high/low pass over the updated f.
     const real_t d_hi = (a_hi_new - a_hi_old) * y_hi;
     const real_t d_lo = (a_lo_new - a_lo_old) * y_lo;
-    real_t* __restrict f = f_.data();
-    const real_t* __restrict kh = k_high.data();
-    const real_t* __restrict kl = k_low.data();
-    for (index_t i = 0; i < n_; ++i) {
-      f[i] += d_hi * kh[i] + d_lo * kl[i];
-    }
+    next_ok = update_and_select_high(d_hi, d_lo, k_high, k_low, next);
 
     ++iter;
     if (tracing && iter % gap_interval == 0) {

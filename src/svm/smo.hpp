@@ -142,9 +142,10 @@ class SmoSolver {
   /// Bias so that decision(x) = sum_i alpha_i y_i K(X_i, x) - rho.
   real_t rho() const { return rho_; }
 
-  /// Working-set scans over at most this many samples run as one SIMD
-  /// kernel call on the calling thread, with no OpenMP region; larger ones
-  /// give each thread's block one call. Measured on a 4-vCPU AVX-512 host
+  /// Working-set scans (the Eq. 4 update fused into the high/low one)
+  /// over at most this many samples run as one SIMD kernel call on the
+  /// calling thread, with no OpenMP region; larger ones give each
+  /// thread's block one call. Measured on a 4-vCPU AVX-512 host
   /// with 2 OpenMP threads (best of 5 x 20000 calls, one call vs the
   /// 2-block split): the fused high/low pass takes 1.4 vs 2.9 us at 4096
   /// samples and the gain pass 3.4 vs 3.8 us, since a fork/join costs
@@ -163,7 +164,20 @@ class SmoSolver {
   /// Fused I_high/I_low pass: high and b_high (argmin f over I_high) and
   /// b_low (max f over I_low, whose index is the first-order low). Returns
   /// false if either index set is empty (degenerate: everything at bounds).
+  /// Runs only before the first iteration; every later one comes out of
+  /// update_and_select_high.
   bool select_high(Selection& sel) const;
+
+  /// Eq. 4 update f += d_hi * k_high + d_lo * k_low, fused with the
+  /// select_high pass over the updated f (one read of f, not two).
+  bool update_and_select_high(real_t d_hi, real_t d_lo,
+                              std::span<const real_t> k_high,
+                              std::span<const real_t> k_low, Selection& sel);
+
+  /// Shared body of the two passes above: `scan(lo, hi, out)` writes the
+  /// I_high/I_low argmax pair of [lo, hi), indices relative to lo.
+  template <class Scan>
+  bool select_high_low(Selection& sel, Scan&& scan) const;
 
   /// Selects low: first-order (argmax f over I_low, found by select_high)
   /// or second-order (max gain, needs the K_high row).

@@ -659,6 +659,130 @@ TEST(CrossIsa, WssScansFoldAnySplitToTheSerialIndex) {
   }
 }
 
+TEST(CrossIsa, SmoUpdateSelectMatchesScalarUpdateThenHighLowAtEveryLevel) {
+  // The fused Eq. 4 update must write the solver's scalar loop's f to the
+  // bit and return the scalar high/low pass over it: every n up to 4W + 3
+  // of the widest level, every offset in a 64-byte line, values drawn from
+  // a few levels (ties in every lane and block) including +-0.0, and
+  // status bytes cycling through all 256 values.
+  Rng rng(0x5E20ull);
+  const real_t values[] = {-1.0, -0.5, -0.0, 0.0, 0.5, 1.0};
+  const real_t coeffs[] = {0.5, -0.5, 0.25, 0.0, -0.0};
+  const auto pick = [&](const auto& from) {
+    return from[rng.uniform_int(0, static_cast<index_t>(std::size(from)) - 1)];
+  };
+  std::size_t status_byte = 0;
+  for (index_t n = 0; n <= 4 * 8 + 3; ++n) {
+    for (index_t off = 0; off < 8; ++off) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " off=" + std::to_string(off));
+      test::WssScanInput in;
+      const auto len = static_cast<std::size_t>(n + off);
+      in.f.resize(len);
+      in.k_high.resize(len);
+      in.k_low.resize(len);
+      in.status.resize(len);
+      for (std::size_t i = 0; i < len; ++i) {
+        in.f[i] = pick(values);
+        in.k_high[i] = pick(values);
+        in.k_low[i] = pick(values);
+        in.status[i] = static_cast<std::uint8_t>(status_byte++);
+      }
+      in.d_hi = pick(coeffs);
+      in.d_lo = pick(coeffs);
+      std::vector<real_t> want_f = in.f;
+      std::array<simd::Argmax, 2> want;
+      {
+        simd::ScopedSimdLevel scalar(simd::SimdLevel::kScalar);
+        want = test::update_then_scan(simd::kernels(), in, off, off + n,
+                                      want_f);
+      }
+      for (simd::SimdLevel level : supported_levels()) {
+        SCOPED_TRACE(std::string(simd::level_name(level)));
+        simd::ScopedSimdLevel guard(level);
+        std::vector<real_t> f = in.f;
+        test::expect_same_argmax(
+            test::run_update_select(simd::kernels(), in, off, off + n, f),
+            want);
+        test::expect_bit_identical(f, want_f);
+      }
+    }
+  }
+}
+
+TEST(CrossIsa, WssGainMatchesScalarOnCandidateFreeBlocks) {
+  // wss_gain skips every W-block with no I_low sample above b_high. Inputs
+  // made of such blocks: no candidate at all, one candidate per block in
+  // each lane, and candidates only in the tail. Non-candidates are of all
+  // three kinds: outside I_low, f <= b_high, and NaN f.
+  Rng rng(0x5E21ull);
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  for (simd::SimdLevel level : supported_levels()) {
+    SCOPED_TRACE(std::string(simd::level_name(level)));
+    index_t w = 1;
+    {
+      simd::ScopedSimdLevel guard(level);
+      w = simd::kernels().width;
+    }
+    // pattern -1: no candidate; 0..w-1: that lane of every full block;
+    // w: the tail only.
+    for (index_t pattern = -1; pattern <= w; ++pattern) {
+      for (index_t n : {index_t{0}, index_t{1}, w - 1, w, w + 1, 4 * w,
+                        4 * w + 3, 10 * w + 5}) {
+        SCOPED_TRACE("pattern=" + std::to_string(pattern) +
+                     " n=" + std::to_string(n));
+        const index_t full = n / w * w;
+        test::WssScanInput in;
+        const auto un = static_cast<std::size_t>(n);
+        in.b_high = -0.5;
+        in.k_hh = 1.0;
+        in.f.resize(un);
+        in.status.resize(un);
+        in.kdiag.assign(un, 1.0);
+        in.k_high.resize(un);
+        for (index_t i = 0; i < n; ++i) {
+          const auto iu = static_cast<std::size_t>(i);
+          const bool candidate =
+              pattern == w ? i >= full : (i < full && i % w == pattern);
+          in.k_high[iu] = 0.25 * static_cast<real_t>(rng.uniform_int(-1, 1));
+          if (candidate) {
+            in.status[iu] = static_cast<std::uint8_t>(
+                simd::kInLow | (rng.bernoulli(0.5) ? simd::kInHigh : 0));
+            in.f[iu] = in.b_high + 0.5 * static_cast<real_t>(
+                                             rng.uniform_int(1, 3));
+            continue;
+          }
+          switch (rng.uniform_int(0, 2)) {
+            case 0:  // outside I_low, however large f is
+              in.status[iu] = simd::kInHigh;
+              in.f[iu] = 4.0;
+              break;
+            case 1:  // in I_low at or below b_high
+              in.status[iu] = simd::kInLow;
+              in.f[iu] = in.b_high - 0.5 *
+                                         static_cast<real_t>(rng.uniform_int(0, 2));
+              break;
+            default:  // NaN f: b > 0 is false
+              in.status[iu] = simd::kInLow;
+              in.f[iu] = nan;
+              break;
+          }
+        }
+        std::array<simd::Argmax, 3> want;
+        {
+          simd::ScopedSimdLevel scalar(simd::SimdLevel::kScalar);
+          want = test::run_wss_scans(simd::kernels(), in, 0, n);
+        }
+        const bool any_candidate =
+            pattern == w ? n > full : (pattern >= 0 && pattern < full);
+        EXPECT_EQ(want[2].index >= 0, any_candidate);
+        simd::ScopedSimdLevel guard(level);
+        test::expect_same_argmax(test::run_wss_scans(simd::kernels(), in, 0, n),
+                                 want);
+      }
+    }
+  }
+}
+
 TEST(Differential, UlpHelperSanity) {
   EXPECT_EQ(test::ulp_distance(1.0, 1.0), 0u);
   EXPECT_EQ(test::ulp_distance(0.0, -0.0), 0u);

@@ -180,6 +180,19 @@ TEST(FsAtomic, FooterlessLegacyFileReadsVerbatim) {
   const std::string path = tmp_path("legacy.txt");
   write_raw(path, "old format, no footer\n");
   EXPECT_EQ(read_file_verified(path), "old format, no footer\n");
+  // A caller that requires the footer refuses the same file.
+  EXPECT_THROW(read_file_verified(path, /*require_footer=*/true), Error);
+  std::remove(path.c_str());
+}
+
+TEST(FsAtomic, FooterWithoutItsFinalNewlineIsRejected) {
+  const std::string path = tmp_path("footer_newline.txt");
+  atomic_write_file(path, "payload\n");
+  std::string raw = read_raw(path);
+  ASSERT_EQ(raw.back(), '\n');
+  raw.back() = ' ';
+  write_raw(path, raw);
+  EXPECT_THROW(read_file_verified(path), Error);
   std::remove(path.c_str());
 }
 
@@ -532,9 +545,9 @@ TEST(SvmCheckpoint, TextV1FileCountsAsAbsent) {
 
 TEST(SvmCheckpoint, DamagedFileNeverLoadsAsADifferentSnapshot) {
   // Every proper prefix and every flip of one byte of a saved snapshot
-  // either counts as absent or still loads as the original: a prefix that
-  // ends where the footer starts is a valid footer-less file, and the
-  // footer's final newline is not covered by the CRC.
+  // counts as absent: a prefix that ends where the footer starts has no
+  // footer, which no saved snapshot lacks, and the footer's final newline
+  // is checked although the CRC does not cover it.
   SmoCheckpoint ck;
   ck.iteration = 42;
   ck.alpha = {0.0, 0.25, 1.0};
@@ -545,8 +558,7 @@ TEST(SvmCheckpoint, DamagedFileNeverLoadsAsADifferentSnapshot) {
   const std::string bad = tmp_path("smo_ck_damaged.bin");
   const auto check = [&](const std::string& bytes, const std::string& what) {
     write_raw(bad, bytes);
-    const auto back = try_load_smo_checkpoint(bad);
-    EXPECT_TRUE(!back.has_value() || same_snapshot(*back, ck)) << what;
+    EXPECT_FALSE(try_load_smo_checkpoint(bad).has_value()) << what;
   };
   for (std::size_t len = 0; len < good.size(); ++len) {
     check(good.substr(0, len), "prefix of " + std::to_string(len));

@@ -238,4 +238,68 @@ TEST(SimdFuzz, WssScansAgreeAcrossLevelsOnRandomInputs) {
   }
 }
 
+TEST(SimdFuzz, SmoUpdateSelectAgreesAcrossLevelsOnRandomInputs) {
+  // The fused Eq. 4 update + high/low pass against the scalar loop and the
+  // scalar pass: random lengths and offsets, +-inf and NaN f, coarse
+  // values (ties, +-0.0 products), inexact products (where a fused
+  // multiply-add would round differently) and random status bytes.
+  const std::vector<SimdLevel> levels = supported_vector_levels();
+  if (levels.empty()) GTEST_SKIP() << "scalar-only host: nothing to compare";
+  constexpr int kTrials = 200;
+  constexpr real_t kInf = std::numeric_limits<real_t>::infinity();
+  const real_t specials[] = {kInf, -kInf,
+                             std::numeric_limits<real_t>::quiet_NaN()};
+
+  for (int t = 0; t < kTrials; ++t) {
+    const std::uint64_t seed =
+        base_seed() ^ (0x165667B19E3779F9ull + static_cast<std::uint64_t>(t));
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    const index_t n = rng.uniform_int(0, 300);
+    const index_t off = rng.uniform_int(0, 7);
+    const double p_special = rng.uniform(0.0, 0.2);
+    SCOPED_TRACE("n=" + std::to_string(n) + " off=" + std::to_string(off));
+
+    test::WssScanInput in;
+    const auto len = static_cast<std::size_t>(n + off);
+    in.f.resize(len);
+    in.k_high.resize(len);
+    in.k_low.resize(len);
+    in.status.resize(len);
+    // Coarse half the time, else an arbitrary double.
+    const auto draw = [&](real_t step, index_t range) {
+      return rng.bernoulli(0.5)
+                 ? step * static_cast<real_t>(rng.uniform_int(-range, range))
+                 : rng.uniform(-1.0, 1.0);
+    };
+    in.d_hi = draw(0.25, 4);
+    in.d_lo = draw(0.25, 4);
+    for (std::size_t i = 0; i < len; ++i) {
+      in.f[i] = 0.25 * static_cast<real_t>(rng.uniform_int(-6, 6));
+      // Specials only in f, so no NaN meets another NaN in an add.
+      if (rng.bernoulli(p_special)) {
+        in.f[i] = specials[rng.uniform_int(0, 2)];
+      }
+      in.k_high[i] = draw(0.5, 2);
+      in.k_low[i] = draw(0.5, 2);
+      in.status[i] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    }
+
+    std::vector<real_t> want_f = in.f;
+    std::array<simd::Argmax, 2> want;
+    {
+      simd::ScopedSimdLevel guard(SimdLevel::kScalar);
+      want = test::update_then_scan(simd::kernels(), in, off, off + n, want_f);
+    }
+    for (SimdLevel level : levels) {
+      SCOPED_TRACE(std::string(simd::level_name(level)));
+      simd::ScopedSimdLevel guard(level);
+      std::vector<real_t> f = in.f;
+      test::expect_same_argmax(
+          test::run_update_select(simd::kernels(), in, off, off + n, f), want);
+      test::expect_bit_identical(f, want_f);
+    }
+  }
+}
+
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <thread>
 
@@ -551,6 +552,51 @@ TEST(SmoTrace, GapShrinksAndObjectiveGrows) {
   EXPECT_EQ(traces.front().iteration, 1);
   EXPECT_EQ(traces.back().iteration,
             static_cast<index_t>(traces.size()));
+}
+
+TEST(SmoTrace, CappedRunReportsTheSelectionOfItsLastIteration) {
+  // A run stopped by max_iterations = k reports b_high, b_low and rho of
+  // the selection iteration k acted on: the trace record of iteration k in
+  // an uncapped run, not the selection the step after it would make.
+  Rng rng(0xAA);
+  Dataset ds;
+  ds.name = "capped";
+  ds.X = test::random_matrix(70, 8, 0.5, rng);
+  ds.y = plant_labels(ds.X, 0.1, 52);
+  const AnyMatrix x = AnyMatrix::from_coo(ds.X, Format::kCSR);
+  for (WssPolicy wss : {WssPolicy::kFirstOrder, WssPolicy::kSecondOrder}) {
+    SCOPED_TRACE(wss == WssPolicy::kFirstOrder ? "first-order" : "WSS2");
+    std::vector<IterationTrace> traces;
+    SvmParams params;
+    params.wss = wss;
+    params.on_trace = [&](const IterationTrace& t) { traces.push_back(t); };
+    {
+      FormatKernelEngine engine(x, params.kernel);
+      KernelCache cache(engine, 16 << 20);
+      ASSERT_TRUE(SmoSolver(cache, ds.y, params).solve().converged);
+    }
+    ASSERT_GE(traces.size(), 4u);
+    params.on_trace = nullptr;
+    const auto n_traces = static_cast<index_t>(traces.size());
+    for (index_t k : {index_t{1}, n_traces / 2, n_traces - 1}) {
+      SCOPED_TRACE("k=" + std::to_string(k));
+      const IterationTrace& want = traces[static_cast<std::size_t>(k - 1)];
+      ASSERT_EQ(want.iteration, k);
+      params.max_iterations = k;
+      FormatKernelEngine engine(x, params.kernel);
+      KernelCache cache(engine, 16 << 20);
+      SmoSolver solver(cache, ds.y, params);
+      const SolveStats stats = solver.solve();
+      EXPECT_FALSE(stats.converged);
+      EXPECT_EQ(stats.iterations, k);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(stats.b_high),
+                std::bit_cast<std::uint64_t>(want.b_high));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(stats.b_low),
+                std::bit_cast<std::uint64_t>(want.b_low));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(solver.rho()),
+                std::bit_cast<std::uint64_t>((want.b_high + want.b_low) / 2.0));
+    }
+  }
 }
 
 TEST(SmoTrace, IntervalThinsTheTrace) {

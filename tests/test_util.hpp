@@ -132,13 +132,17 @@ inline void expect_bit_identical(std::span<const real_t> a,
   }
 }
 
-/// Inputs of the two SMO working-set scan kernels (wss_high_low and
-/// wss_gain), laid out as the solver keeps them.
+/// Inputs of the SMO scan kernels (wss_high_low, wss_gain and the fused
+/// smo_update_select), laid out as the solver keeps them.
 struct WssScanInput {
   std::vector<real_t> f, kdiag, k_high;
   std::vector<std::uint8_t> status;
   real_t b_high = 0.0;
   real_t k_hh = 1.0;
+  /// The Eq. 4 update f += d_hi * k_high + d_lo * k_low.
+  std::vector<real_t> k_low;
+  real_t d_hi = 0.0;
+  real_t d_lo = 0.0;
 };
 
 /// Runs both scans of `kt` on [lo, hi): {high, low, gain}, indices
@@ -155,10 +159,38 @@ inline std::array<simd::Argmax, 3> run_wss_scans(const simd::KernelTable& kt,
   return r;
 }
 
+/// Runs `kt.smo_update_select` on [lo, hi) of `f` (a copy of in.f):
+/// {high, low}, indices relative to lo.
+inline std::array<simd::Argmax, 2> run_update_select(
+    const simd::KernelTable& kt, const WssScanInput& in, index_t lo,
+    index_t hi, std::vector<real_t>& f) {
+  std::array<simd::Argmax, 2> r;
+  const auto l = static_cast<std::size_t>(lo);
+  kt.smo_update_select(f.data() + l, in.k_high.data() + l,
+                       in.k_low.data() + l, in.d_hi, in.d_lo,
+                       in.status.data() + l, hi - lo, r.data());
+  return r;
+}
+
+/// What smo_update_select must equal: the solver's Eq. 4 loop on [lo, hi)
+/// of `f` (a copy of in.f), then `kt.wss_high_low` over the updated values.
+inline std::array<simd::Argmax, 2> update_then_scan(
+    const simd::KernelTable& kt, const WssScanInput& in, index_t lo,
+    index_t hi, std::vector<real_t>& f) {
+  const auto l = static_cast<std::size_t>(lo);
+  for (std::size_t i = l; i < static_cast<std::size_t>(hi); ++i) {
+    f[i] += in.d_hi * in.k_high[i] + in.d_lo * in.k_low[i];
+  }
+  std::array<simd::Argmax, 2> r;
+  kt.wss_high_low(f.data() + l, in.status.data() + l, hi - lo, r.data());
+  return r;
+}
+
 /// EXPECT two scan results to agree exactly: the same index and the same
 /// score bits.
-inline void expect_same_argmax(const std::array<simd::Argmax, 3>& got,
-                               const std::array<simd::Argmax, 3>& want) {
+template <std::size_t N>
+void expect_same_argmax(const std::array<simd::Argmax, N>& got,
+                        const std::array<simd::Argmax, N>& want) {
   for (std::size_t k = 0; k < got.size(); ++k) {
     EXPECT_EQ(got[k].index, want[k].index) << "scan " << k;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k].value),
