@@ -2,14 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <set>
 
 namespace ls {
-
-index_t Dataset::num_classes() const {
-  std::set<real_t> classes(y.begin(), y.end());
-  return static_cast<index_t>(classes.size());
-}
 
 Dataset Dataset::subset(const std::vector<index_t>& row_ids,
                         const std::string& suffix) const {

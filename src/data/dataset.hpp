@@ -14,9 +14,7 @@
 
 namespace ls {
 
-/// Labelled dataset. Labels are +1 / -1 for binary classification tasks and
-/// arbitrary small integers for multiclass (the one-vs-one trainer splits
-/// them into binary problems, as the paper notes in Section II-A1).
+/// Labelled dataset. Labels are +1 / -1 (binary classification).
 struct Dataset {
   std::string name;
   CooMatrix X;
@@ -31,9 +29,6 @@ struct Dataset {
              "dataset '" << name << "': " << y.size() << " labels for "
                          << X.rows() << " samples");
   }
-
-  /// Number of distinct classes.
-  index_t num_classes() const;
 
   /// Splits into train/test by a deterministic shuffled partition.
   /// `train_fraction` of the rows go to the first returned dataset.

@@ -1,7 +1,5 @@
 #include "svm/model.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace ls {
@@ -27,60 +25,6 @@ double SvmModel::accuracy(const Dataset& ds) const {
     if (predict(row) == ds.y[static_cast<std::size_t>(i)]) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(ds.rows());
-}
-
-std::vector<real_t> SvmModel::linear_weights() const {
-  LS_CHECK(kernel.type == KernelType::kLinear,
-           "linear_weights requires the linear kernel (got "
-               << kernel_name(kernel.type) << ")");
-  std::vector<real_t> w(static_cast<std::size_t>(num_features), 0.0);
-  for (std::size_t k = 0; k < support_vectors.size(); ++k) {
-    const SparseVector& sv = support_vectors[k];
-    const auto idx = sv.indices();
-    const auto val = sv.values();
-    for (index_t e = 0; e < sv.nnz(); ++e) {
-      w[static_cast<std::size_t>(idx[static_cast<std::size_t>(e)])] +=
-          coef[k] * val[static_cast<std::size_t>(e)];
-    }
-  }
-  return w;
-}
-
-double roc_auc(const SvmModel& model, const Dataset& ds) {
-  ds.validate();
-  // Scores paired with labels, sorted ascending by score.
-  std::vector<std::pair<real_t, real_t>> scored;
-  scored.reserve(static_cast<std::size_t>(ds.rows()));
-  SparseVector row;
-  index_t positives = 0, negatives = 0;
-  for (index_t i = 0; i < ds.rows(); ++i) {
-    ds.X.gather_row(i, row);
-    const real_t label = ds.y[static_cast<std::size_t>(i)];
-    scored.push_back({model.decision(row), label});
-    (label > 0 ? positives : negatives) += 1;
-  }
-  LS_CHECK(positives > 0 && negatives > 0,
-           "roc_auc needs both classes present");
-  std::sort(scored.begin(), scored.end());
-
-  // Mann-Whitney with midranks for ties: sum the average rank of the
-  // positives, then AUC = (R+ - n+(n+ + 1)/2) / (n+ * n-).
-  double rank_sum_pos = 0.0;
-  std::size_t i = 0;
-  while (i < scored.size()) {
-    std::size_t j = i;
-    while (j < scored.size() && scored[j].first == scored[i].first) ++j;
-    // Ranks i+1 .. j share the midrank.
-    const double midrank = 0.5 * (static_cast<double>(i + 1) +
-                                  static_cast<double>(j));
-    for (std::size_t k = i; k < j; ++k) {
-      if (scored[k].second > 0) rank_sum_pos += midrank;
-    }
-    i = j;
-  }
-  const double np = static_cast<double>(positives);
-  const double nn = static_cast<double>(negatives);
-  return (rank_sum_pos - np * (np + 1.0) / 2.0) / (np * nn);
 }
 
 SvmModel build_model(const AnyMatrix& x, std::span<const real_t> y,

@@ -43,12 +43,6 @@ struct SvmModel {
 
   /// Fraction of correctly classified rows of `ds` (labels must be +-1).
   double accuracy(const Dataset& ds) const;
-
-  /// For the linear kernel only: collapses the support-vector expansion
-  /// into the primal weight vector w = sum coef_i sv_i, so that
-  /// decision(x) = w . x - rho. Throws for nonlinear kernels (no finite
-  /// primal representation).
-  std::vector<real_t> linear_weights() const;
 };
 
 /// Extracts the model from solver output: rows with alpha_i > 0 become
@@ -63,10 +57,5 @@ SvmModel build_model(const AnyMatrix& x, std::span<const real_t> y,
 /// serving-side rescheduler (which extracts the nine influencing
 /// parameters from it to seed bandit arm priors).
 CooMatrix support_vector_matrix(const SvmModel& model);
-
-/// ROC AUC of the model's decision values over a +-1-labelled dataset
-/// (Mann-Whitney rank statistic; ties contribute 1/2). 0.5 = random,
-/// 1.0 = perfect ranking. Throws when either class is absent.
-double roc_auc(const SvmModel& model, const Dataset& ds);
 
 }  // namespace ls

@@ -12,8 +12,6 @@ namespace ls {
 namespace {
 
 constexpr const char* kModelMagic = "ls_svm_model v1";
-constexpr const char* kEnsembleMagic = "ls_svm_ovo v1";
-constexpr const char* kSvrMagic = "ls_svr_model v1";
 
 const char* kernel_tag(KernelType t) { return kernel_name(t); }
 
@@ -123,103 +121,6 @@ SvmModel load_model_file(const std::string& path) {
   LS_FAILPOINT("svm.serialize.load");
   std::istringstream in(read_file_verified(path));
   return load_model(in);
-}
-
-void save_multiclass(std::ostream& out, const MulticlassModel& model) {
-  out.precision(17);
-  out << kEnsembleMagic << '\n';
-  out << "num_classes " << model.classes.size() << '\n';
-  out << "classes";
-  for (real_t c : model.classes) out << ' ' << c;
-  out << '\n';
-  out << "num_machines " << model.machines.size() << '\n';
-  for (const PairwiseMachine& m : model.machines) {
-    out << "pair " << m.class_a << ' ' << m.class_b << '\n';
-    save_model(out, m.model);
-  }
-}
-
-MulticlassModel load_multiclass(std::istream& in) {
-  expect_line(in, kEnsembleMagic, "ensemble magic");
-  MulticlassModel model;
-  const auto num_classes = read_field<long long>(in, "num_classes");
-  LS_CHECK(num_classes >= 2, "ensemble needs at least two classes");
-  {
-    std::string line;
-    LS_CHECK(std::getline(in, line), "ensemble truncated at classes");
-    std::istringstream ls(line);
-    std::string key;
-    LS_CHECK(static_cast<bool>(ls >> key) && key == "classes",
-             "bad classes line: '" << line << "'");
-    real_t c = 0.0;
-    while (ls >> c) model.classes.push_back(c);
-    LS_CHECK(static_cast<long long>(model.classes.size()) == num_classes,
-             "class list length mismatch");
-  }
-  const auto num_machines = read_field<long long>(in, "num_machines");
-  for (long long k = 0; k < num_machines; ++k) {
-    std::string line;
-    LS_CHECK(std::getline(in, line), "ensemble truncated at machine " << k);
-    std::istringstream ls(line);
-    std::string key;
-    PairwiseMachine machine;
-    LS_CHECK(static_cast<bool>(ls >> key >> machine.class_a >>
-                               machine.class_b) &&
-                 key == "pair",
-             "bad pair line: '" << line << "'");
-    machine.model = load_model(in);
-    model.machines.push_back(std::move(machine));
-  }
-  return model;
-}
-
-void save_multiclass_file(const std::string& path,
-                          const MulticlassModel& model) {
-  LS_FAILPOINT("svm.serialize.save");
-  atomic_write_file(path,
-                    [&](std::ostream& out) { save_multiclass(out, model); });
-}
-
-void save_svr(std::ostream& out, const SvrModel& model) {
-  // SvrModel shares the binary model's field layout (coef holds beta);
-  // reuse the writer behind a distinguishing magic line.
-  out << kSvrMagic << '\n';
-  SvmModel shim;
-  shim.kernel = model.kernel;
-  shim.rho = model.rho;
-  shim.num_features = model.num_features;
-  shim.support_vectors = model.support_vectors;
-  shim.coef = model.coef;
-  save_model(out, shim);
-}
-
-SvrModel load_svr(std::istream& in) {
-  expect_line(in, kSvrMagic, "svr magic");
-  SvmModel shim = load_model(in);
-  SvrModel model;
-  model.kernel = shim.kernel;
-  model.rho = shim.rho;
-  model.num_features = shim.num_features;
-  model.support_vectors = std::move(shim.support_vectors);
-  model.coef = std::move(shim.coef);
-  return model;
-}
-
-void save_svr_file(const std::string& path, const SvrModel& model) {
-  LS_FAILPOINT("svm.serialize.save");
-  atomic_write_file(path, [&](std::ostream& out) { save_svr(out, model); });
-}
-
-SvrModel load_svr_file(const std::string& path) {
-  LS_FAILPOINT("svm.serialize.load");
-  std::istringstream in(read_file_verified(path));
-  return load_svr(in);
-}
-
-MulticlassModel load_multiclass_file(const std::string& path) {
-  LS_FAILPOINT("svm.serialize.load");
-  std::istringstream in(read_file_verified(path));
-  return load_multiclass(in);
 }
 
 }  // namespace ls

@@ -7,8 +7,6 @@
 #include <string>
 
 #include "svm/model.hpp"
-#include "svm/multiclass.hpp"
-#include "svm/svr.hpp"
 
 namespace ls {
 
@@ -19,23 +17,5 @@ void save_model_file(const std::string& path, const SvmModel& model);
 /// Reads a binary model; throws ls::Error on malformed input.
 SvmModel load_model(std::istream& in);
 SvmModel load_model_file(const std::string& path);
-
-/// Writes a one-vs-one ensemble (header + each pairwise machine).
-void save_multiclass(std::ostream& out, const MulticlassModel& model);
-void save_multiclass_file(const std::string& path,
-                          const MulticlassModel& model);
-
-/// Reads a one-vs-one ensemble.
-MulticlassModel load_multiclass(std::istream& in);
-MulticlassModel load_multiclass_file(const std::string& path);
-
-/// Writes a regression model (same layout as the binary model with an SVR
-/// magic header; coef lines hold beta_i = a_i - a*_i).
-void save_svr(std::ostream& out, const SvrModel& model);
-void save_svr_file(const std::string& path, const SvrModel& model);
-
-/// Reads a regression model.
-SvrModel load_svr(std::istream& in);
-SvrModel load_svr_file(const std::string& path);
 
 }  // namespace ls

@@ -15,39 +15,26 @@ namespace ls {
 
 SmoSolver::SmoSolver(KernelCache& cache, std::span<const real_t> y,
                      const SvmParams& params)
-    : SmoSolver(cache, y, std::span<const real_t>{}, params) {}
-
-SmoSolver::SmoSolver(KernelCache& cache, std::span<const real_t> y,
-                     std::span<const real_t> p, const SvmParams& params)
-    : cache_(&cache), y_(y), p_(p), params_(params),
+    : cache_(&cache), y_(y), params_(params),
       n_(static_cast<index_t>(y.size())) {
   LS_CHECK(n_ == cache.num_rows(),
            "label count " << n_ << " != kernel source rows "
                           << cache.num_rows());
   LS_CHECK(params_.c > 0, "C must be positive");
-  LS_CHECK(params_.weight_positive > 0 && params_.weight_negative > 0,
-           "class weights must be positive");
-  LS_CHECK(p.empty() || p.size() == y.size(),
-           "linear term length must match label count");
   for (real_t yi : y_) {
     LS_CHECK(yi == 1.0 || yi == -1.0,
              "binary SMO requires labels in {+1, -1}, got " << yi);
   }
 
-  // alpha = 0; f_i = y_i * grad_i = y_i * p_i. Classification (p = -1)
-  // gives the paper's Algorithm 1 step 2: f_i = -y_i.
+  // alpha = 0, so f_i = -y_i (Algorithm 1 step 2).
   const auto un = static_cast<std::size_t>(n_);
   alpha_.assign(un, 0.0);
   f_.resize(un);
-  c_.resize(un);
   kdiag_.resize(un);
   status_.resize(un);
   for (index_t i = 0; i < n_; ++i) {
     const auto iu = static_cast<std::size_t>(i);
-    const real_t pi = p.empty() ? real_t{-1.0} : p[iu];
-    f_[iu] = y_[iu] * pi;
-    c_[iu] = params_.c * (y_[iu] > 0 ? params_.weight_positive
-                                     : params_.weight_negative);
+    f_[iu] = -y_[iu];
     kdiag_[iu] = cache.diagonal(i);
   }
   refresh_all_status();
@@ -58,7 +45,7 @@ void SmoSolver::refresh_status(index_t i) {
   // I_low  = {0 < a < C} u {y > 0, a = C} u {y < 0, a = 0}   (Alg. 1 step 7)
   const auto iu = static_cast<std::size_t>(i);
   const bool lower = alpha_[iu] <= kBoundEps;
-  const bool upper = alpha_[iu] >= c_[iu] - kBoundEps;
+  const bool upper = alpha_[iu] >= params_.c - kBoundEps;
   const bool pos = y_[iu] > 0;
   const bool free = !lower && !upper;
   status_[iu] = static_cast<std::uint8_t>(
@@ -179,11 +166,10 @@ index_t SmoSolver::warm_start(std::span<const real_t> alphas) {
            "warm-start vector length " << alphas.size()
                                        << " does not match problem size "
                                        << n_);
-  // Box projection: evicted-window seeds can exceed the (possibly
-  // class-weighted) C of their new position.
+  // Box projection: a seed from a run with a larger C can exceed this one.
   for (index_t i = 0; i < n_; ++i) {
     const auto iu = static_cast<std::size_t>(i);
-    alpha_[iu] = std::clamp(alphas[iu], real_t{0.0}, c_[iu]);
+    alpha_[iu] = std::clamp(alphas[iu], real_t{0.0}, params_.c);
   }
 
   // Equality repair: sum_i a_i y_i must be exactly 0 or the solver's
@@ -223,14 +209,13 @@ index_t SmoSolver::warm_start(std::span<const real_t> alphas) {
     }
   }
 
-  // Recompute f_i = y_i p_i + sum_j a_j y_j K_ij exactly: one kernel row
-  // per surviving support vector. This is the entire cost of the warm
-  // start — proportional to the SV count, not to an optimisation run.
+  // Recompute f_i = sum_j a_j y_j K_ij - y_i exactly: one kernel row per
+  // surviving support vector. This is the entire cost of the warm start —
+  // proportional to the SV count, not to an optimisation run.
   index_t seeded = 0;
   for (index_t i = 0; i < n_; ++i) {
     const auto iu = static_cast<std::size_t>(i);
-    const real_t pi = p_.empty() ? real_t{-1.0} : p_[iu];
-    f_[iu] = y_[iu] * pi;
+    f_[iu] = -y_[iu];
   }
   for (index_t j = 0; j < n_; ++j) {
     const auto ju = static_cast<std::size_t>(j);
@@ -250,15 +235,13 @@ index_t SmoSolver::warm_start(std::span<const real_t> alphas) {
 }
 
 double SmoSolver::current_objective() const {
-  // Dual objective via the gradient identity grad_i = y_i f_i = (Q a + p)_i:
-  // F = -(1/2 a' Q a + p' a) = -1/2 sum_i a_i (y_i f_i + p_i) — O(n), no
-  // extra kernel evaluations. For classification (p = -1) this is exactly
-  // Eq. (1)'s maximised objective.
+  // Eq. (1)'s maximised objective via the gradient identity
+  // y_i f_i = (Q a)_i - 1: F = sum_i a_i - 1/2 a' Q a
+  // = -1/2 sum_i a_i (y_i f_i - 1) — O(n), no extra kernel evaluations.
   double obj = 0.0;
   for (index_t i = 0; i < n_; ++i) {
     const auto iu = static_cast<std::size_t>(i);
-    const real_t pi = p_.empty() ? real_t{-1.0} : p_[iu];
-    obj += -0.5 * alpha_[iu] * (y_[iu] * f_[iu] + pi);
+    obj += -0.5 * alpha_[iu] * (y_[iu] * f_[iu] - 1.0);
   }
   return obj;
 }
@@ -313,18 +296,16 @@ SolveStats SmoSolver::solve() {
                  2.0 * k_high[static_cast<std::size_t>(lo)];
     if (eta <= 0) eta = kEtaFloor;
 
-    // Box bounds for the new alpha_low (Platt's L/H with i1 = high),
-    // generalised to per-class box constraints C_hi / C_lo.
+    // Box bounds for the new alpha_low (Platt's L/H with i1 = high).
     const real_t s = y_hi * y_lo;
-    const real_t c_hi = c_[static_cast<std::size_t>(hi)];
-    const real_t c_lo = c_[static_cast<std::size_t>(lo)];
+    const real_t c = params_.c;
     real_t lo_bound, hi_bound;
     if (s < 0) {
       lo_bound = std::max<real_t>(0.0, a_lo_old - a_hi_old);
-      hi_bound = std::min<real_t>(c_lo, c_hi + a_lo_old - a_hi_old);
+      hi_bound = std::min<real_t>(c, c + a_lo_old - a_hi_old);
     } else {
-      lo_bound = std::max<real_t>(0.0, a_lo_old + a_hi_old - c_hi);
-      hi_bound = std::min<real_t>(c_lo, a_lo_old + a_hi_old);
+      lo_bound = std::max<real_t>(0.0, a_lo_old + a_hi_old - c);
+      hi_bound = std::min<real_t>(c, a_lo_old + a_hi_old);
     }
 
     // Eq. (5): unconstrained optimum of alpha_low, then clip to the box.

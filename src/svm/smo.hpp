@@ -58,11 +58,6 @@ struct SmoCheckpoint {
 struct SvmParams {
   KernelParams kernel;
   real_t c = 1.0;            ///< box constraint C
-  /// Per-class C multipliers (LIBSVM's -w option): samples with y = +1 get
-  /// C * weight_positive, y = -1 get C * weight_negative. Raising the
-  /// minority class's weight counters class imbalance.
-  real_t weight_positive = 1.0;
-  real_t weight_negative = 1.0;
   real_t tolerance = 1e-3;   ///< KKT tolerance (LIBSVM default)
   index_t max_iterations = 0;  ///< 0 = automatic (200 n + 20000)
   WssPolicy wss = WssPolicy::kSecondOrder;
@@ -94,22 +89,14 @@ struct SolveStats {
 
 /// SMO solver over a cached kernel-row source.
 ///
-/// Solves the generic dual  min 1/2 a' Q a + p' a  s.t.  y' a = 0,
-/// 0 <= a_i <= C, with Q_ij = y_i y_j K_ij — LIBSVM's Solver form. The
-/// classification problem of the paper is p = -1 (the default); epsilon-SVR
-/// reduces to the same solver with a duplicated kernel and p = eps -+ z
-/// (see svr.hpp).
+/// Solves the classification dual  min 1/2 a' Q a - sum_i a_i  s.t.
+/// y' a = 0, 0 <= a_i <= C, with Q_ij = y_i y_j K_ij — Eq. (1) in
+/// minimised form.
 class SmoSolver {
  public:
-  /// Classification form: p_i = -1. `cache` and `y` must outlive the
-  /// solver; y[i] must be +1 or -1.
+  /// `cache` and `y` must outlive the solver; y[i] must be +1 or -1.
   SmoSolver(KernelCache& cache, std::span<const real_t> y,
             const SvmParams& params);
-
-  /// Generic form with an explicit linear term (LIBSVM's p vector).
-  /// `p` must match y's length and outlive the solver.
-  SmoSolver(KernelCache& cache, std::span<const real_t> y,
-            std::span<const real_t> p, const SvmParams& params);
 
   /// Runs the optimisation to convergence (or the iteration cap).
   SolveStats solve();
@@ -125,7 +112,7 @@ class SmoSolver {
   /// Seeds the solver from a previous solution's alpha vector — the
   /// continuous trainer's warm start across sliding-window retrains. Unlike
   /// restore(), the seed need not come from *this* problem: each alpha is
-  /// clipped to its box [0, C_i], the equality constraint sum_i a_i y_i = 0
+  /// clipped to the box [0, C], the equality constraint sum_i a_i y_i = 0
   /// is repaired (evicted support vectors leave a residual, which is bled
   /// off the over-represented class starting with its smallest seeds), and
   /// the optimality indicators f are recomputed exactly from one kernel row
@@ -192,14 +179,12 @@ class SmoSolver {
 
   KernelCache* cache_;
   std::span<const real_t> y_;
-  std::span<const real_t> p_;  // empty = classification (p_i = -1)
   SvmParams params_;
   index_t n_ = 0;
 
   std::vector<real_t> alpha_;
   std::vector<real_t> f_;
   // Contiguous per-sample arrays the working-set scans stream over.
-  std::vector<real_t> c_;              // box constraint C_i = C * weight
   std::vector<real_t> kdiag_;          // K_ii
   std::vector<std::uint8_t> status_;  // simd::kInHigh | simd::kInLow bits
   real_t rho_ = 0.0;

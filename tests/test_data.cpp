@@ -183,11 +183,6 @@ TEST(Dataset, SubsetExtractsRequestedRows) {
   EXPECT_EQ(row.values()[0], 3.0);  // original row 2 first
 }
 
-TEST(Dataset, NumClassesCountsDistinctLabels) {
-  Dataset ds{"c", CooMatrix(4, 1, {}), {1.0, 2.0, 1.0, 3.0}};
-  EXPECT_EQ(ds.num_classes(), 3);
-}
-
 TEST(Synthetic, SampleColumnsDistinctSortedInRange) {
   Rng rng(8);
   for (index_t k : {0, 1, 5, 50, 99, 100}) {

@@ -79,32 +79,6 @@ TEST(Serialize, RejectsCorruptedStreams) {
   }
 }
 
-TEST(Serialize, MulticlassRoundTrip) {
-  Rng rng(78);
-  std::vector<Triplet> t;
-  std::vector<real_t> y;
-  const real_t centers[3][2] = {{0, 0}, {8, 0}, {0, 8}};
-  for (index_t i = 0; i < 60; ++i) {
-    const int k = static_cast<int>(i % 3);
-    t.push_back({i, 0, centers[k][0] + rng.normal(0, 0.4)});
-    t.push_back({i, 1, centers[k][1] + rng.normal(0, 0.4)});
-    y.push_back(static_cast<real_t>(k));
-  }
-  Dataset ds{"tri", CooMatrix(60, 2, std::move(t)), std::move(y)};
-  SvmParams params;
-  params.c = 10.0;
-  SchedulerOptions sched;
-  sched.policy = SchedulePolicy::kHeuristic;
-  const MulticlassResult trained = train_one_vs_one(ds, params, sched);
-
-  std::stringstream buffer;
-  save_multiclass(buffer, trained.model);
-  const MulticlassModel back = load_multiclass(buffer);
-  ASSERT_EQ(back.machines.size(), trained.model.machines.size());
-  EXPECT_EQ(back.classes, trained.model.classes);
-  EXPECT_DOUBLE_EQ(back.accuracy(ds), trained.model.accuracy(ds));
-}
-
 TEST(Serialize, FileRoundTrip) {
   const SvmModel model = trained_tiny_model();
   const std::string path = ::testing::TempDir() + "/ls_model.txt";

@@ -27,9 +27,7 @@
 #include "svm/cache.hpp"
 #include "svm/checkpoint.hpp"
 #include "svm/kernel_engine.hpp"
-#include "svm/multiclass.hpp"
 #include "svm/serialize.hpp"
-#include "svm/svr.hpp"
 #include "svm/trainer.hpp"
 
 namespace ls {
@@ -380,59 +378,6 @@ TEST(ModelFiles, CorruptFilesThrowLsError) {
   std::remove(bad.c_str());
 }
 
-TEST(ModelFiles, CorruptEnsembleAndSvrFilesThrowLsError) {
-  // One-vs-one ensemble on a 3-class toy problem.
-  const Dataset multi = tiny_dataset(
-      {{0.0, 0.0}, {0.1, 0.0}, {1.0, 1.0}, {0.9, 1.0}, {0.0, 2.0},
-       {0.1, 2.0}},
-      {0.0, 0.0, 1.0, 1.0, 2.0, 2.0});
-  SvmParams params;
-  params.c = 10.0;
-  const MulticlassResult ovo = train_one_vs_one(multi, params);
-  const std::string mc_path = tmp_path("ovo_good.txt");
-  save_multiclass_file(mc_path, ovo.model);
-  const std::string mc_good = read_file_verified(mc_path);
-
-  // ε-SVR on a 1-d linear target.
-  const Dataset reg = tiny_dataset({{0.0}, {1.0}, {2.0}, {3.0}},
-                                   {0.0, 1.0, 2.0, 3.0});
-  SvrParams svr_params;
-  svr_params.svm.c = 10.0;
-  const SvrModel svr = train_svr(reg, svr_params).model;
-  const std::string svr_path = tmp_path("svr_good.txt");
-  save_svr_file(svr_path, svr);
-  const std::string svr_good = read_file_verified(svr_path);
-
-  const std::string bad = tmp_path("model_bad2.txt");
-
-  // Truncation mid-stream.
-  write_raw(bad, mc_good.substr(0, mc_good.size() / 2));
-  EXPECT_THROW(load_multiclass_file(bad), Error);
-  write_raw(bad, svr_good.substr(0, svr_good.size() / 2));
-  EXPECT_THROW(load_svr_file(bad), Error);
-
-  // Wrong magic — including reading one model kind as another.
-  write_raw(bad, "ls_wrong_magic v9\n" + mc_good);
-  EXPECT_THROW(load_multiclass_file(bad), Error);
-  EXPECT_THROW(load_svr_file(mc_path), Error);
-  EXPECT_THROW(load_multiclass_file(svr_path), Error);
-
-  // CRC mismatch.
-  write_raw(bad, mc_good + kCrcFooterTag + "deadbeef\n");
-  EXPECT_THROW(load_multiclass_file(bad), Error);
-  write_raw(bad, svr_good + kCrcFooterTag + "deadbeef\n");
-  EXPECT_THROW(load_svr_file(bad), Error);
-
-  // The untampered files still round-trip.
-  EXPECT_EQ(load_multiclass_file(mc_path).machines.size(),
-            ovo.model.machines.size());
-  EXPECT_DOUBLE_EQ(load_svr_file(svr_path).rho, svr.rho);
-
-  std::remove(mc_path.c_str());
-  std::remove(svr_path.c_str());
-  std::remove(bad.c_str());
-}
-
 TEST(ModelFiles, SaveAndLoadFailpointsCoverToolPaths) {
   const SvmModel model = trained_tiny_model();
   const std::string path = tmp_path("model_fp.txt");
@@ -716,56 +661,19 @@ TEST(SchedDegrade, TrainAdaptiveSurvivesTotalCandidateFailure) {
   params.kernel.type = KernelType::kGaussian;
   params.kernel.gamma = 0.5;
   params.c = 5.0;
+  metrics::reset();
+  metrics::set_enabled(true);
   Scoped fp("sched.candidate.materialize");
   const TrainResult r = train_adaptive(ds, params);
+  const metrics::Report report = metrics::snapshot();
+  metrics::set_enabled(false);
+  metrics::reset();
   EXPECT_TRUE(r.stats.converged);
   EXPECT_TRUE(r.decision.degraded);
   EXPECT_GT(r.model.accuracy(ds), 0.7);
-}
-
-TEST(SchedDegrade, SvrAndOneVsRestFallBackToCsrWhenMaterializeFails) {
-  // Both trainers schedule through LayoutScheduler::schedule, so a layout
-  // that cannot be built degrades to CSR instead of throwing, and each
-  // final decision reaches the metrics registry.
-  Dataset ds = noisy_dataset(45, 4, 0xD6);
-  SchedulerOptions sched;
-  sched.policy = SchedulePolicy::kFixed;
-  sched.fixed_format = Format::kDEN;
-  Spec spec;
-  spec.limit = 1;  // only the DEN materialise faults
-  metrics::reset();
-  metrics::set_enabled(true);
-
-  SvrParams svr_params;
-  svr_params.svm.max_iterations = 500;
-  SvrResult svr;
-  {
-    Scoped fp("sched.materialize", spec);
-    svr = train_svr(ds, svr_params, sched);
-  }
-  EXPECT_EQ(svr.decision.format, Format::kCSR);
-  EXPECT_TRUE(svr.decision.degraded);
-  EXPECT_GT(svr.stats.iterations, 0);
-
-  for (std::size_t i = 0; i < ds.y.size(); ++i) {
-    ds.y[i] = static_cast<real_t>(i % 3);
-  }
-  SvmParams params;
-  params.max_iterations = 500;
-  OvrResult ovr;
-  {
-    Scoped fp("sched.materialize", spec);
-    ovr = train_one_vs_rest(ds, params, sched);
-  }
-  EXPECT_EQ(ovr.layout, Format::kCSR);
-  EXPECT_EQ(ovr.model.machines.size(), 3u);
-
-  const metrics::Report r = metrics::snapshot();
-  metrics::set_enabled(false);
-  metrics::reset();
-  EXPECT_EQ(r.counters.at("sched.decisions_total"), 2);
-  EXPECT_EQ(r.counters.at("sched.decisions_degraded_total"), 2);
-  EXPECT_EQ(r.counters.at("sched.chosen_total.CSR"), 2);
+  // The degraded final decision reaches the metrics registry once.
+  EXPECT_EQ(report.counters.at("sched.decisions_total"), 1);
+  EXPECT_EQ(report.counters.at("sched.decisions_degraded_total"), 1);
 }
 
 // -------------------------------------------------- cache memory pressure

@@ -1,8 +1,5 @@
-// Tests for the runtime extensions: batch prediction, SVR serialisation,
-// linear weights, heuristic sanity and ROC AUC.
+// Tests for the runtime extensions: batch prediction and heuristic sanity.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "data/profiles.hpp"
 #include "data/synthetic.hpp"
@@ -11,7 +8,6 @@
 #include "sched/selector.hpp"
 #include "svm/batch_predict.hpp"
 #include "svm/kernel_engine.hpp"
-#include "svm/serialize.hpp"
 #include "svm/trainer.hpp"
 #include "test_util.hpp"
 
@@ -93,69 +89,6 @@ TEST(BatchPredictor, RejectsEmptyModelsAndWideData) {
   EXPECT_THROW(batch.decision_values(wide), Error);
 }
 
-// --------------------------------------------------- SVR serialization
-
-TEST(SvrSerialize, RoundTripPreservesPredictions) {
-  // Fit sin-like targets, save, reload, compare predictions exactly.
-  Dataset ds;
-  ds.name = "svr_ser";
-  std::vector<Triplet> t;
-  std::vector<real_t> y;
-  for (index_t i = 0; i < 40; ++i) {
-    const real_t x = 0.1 * static_cast<real_t>(i + 1);
-    t.push_back({i, 0, x});
-    y.push_back(std::sin(x));
-  }
-  ds.X = CooMatrix(40, 1, std::move(t));
-  ds.y = std::move(y);
-
-  SvrParams params;
-  params.epsilon = 0.02;
-  params.svm.c = 20.0;
-  params.svm.kernel.type = KernelType::kGaussian;
-  params.svm.kernel.gamma = 2.0;
-  SchedulerOptions sched;
-  sched.policy = SchedulePolicy::kHeuristic;
-  const SvrResult r = train_svr(ds, params, sched);
-  ASSERT_FALSE(r.model.support_vectors.empty());
-
-  std::stringstream buffer;
-  save_svr(buffer, r.model);
-  const SvrModel back = load_svr(buffer);
-  for (real_t x : {0.15, 1.3, 2.7, 3.9}) {
-    SparseVector probe({0}, {x});
-    EXPECT_DOUBLE_EQ(back.predict(probe), r.model.predict(probe));
-  }
-  // An SVR stream must not load as a classification model and vice versa.
-  std::stringstream again;
-  save_svr(again, r.model);
-  EXPECT_THROW(load_model(again), Error);
-}
-
-// ------------------------------------------------------ linear weights
-
-TEST(LinearWeights, PrimalFormMatchesTheKernelExpansion) {
-  const Dataset ds = planted(70, 9, 71);
-  SvmParams params;  // linear kernel
-  const TrainResult r = train_fixed_format(ds, params, Format::kCSR);
-  const std::vector<real_t> w = r.model.linear_weights();
-  ASSERT_EQ(w.size(), 9u);
-
-  SparseVector row;
-  for (index_t i = 0; i < ds.rows(); i += 7) {
-    ds.X.gather_row(i, row);
-    const real_t primal = row.dot_dense(w) - r.model.rho;
-    EXPECT_NEAR(primal, r.model.decision(row), 1e-9) << "row " << i;
-  }
-}
-
-TEST(LinearWeights, RejectsNonlinearKernels) {
-  SvmModel model;
-  model.kernel.type = KernelType::kGaussian;
-  model.num_features = 3;
-  EXPECT_THROW(model.linear_weights(), Error);
-}
-
 // -------------------------------------------- heuristic sanity property
 
 TEST(HeuristicSanity, NeverPicksACatastrophicFormat) {
@@ -182,42 +115,6 @@ TEST(HeuristicSanity, NeverPicksACatastrophicFormat) {
     EXPECT_LT(picked, 5.0 * best) << profile.name << " picked "
                                   << format_name(d.format);
   }
-}
-
-// ----------------------------------------------------------------- AUC
-
-TEST(RocAuc, PerfectAndRandomRankings) {
-  const Dataset ds = planted(120, 10, 70);
-  SvmParams params;
-  params.c = 10.0;
-  const TrainResult r = train_fixed_format(ds, params, Format::kCSR);
-  const double auc = roc_auc(r.model, ds);
-  // Planted labels with 5% noise: the ranking should be far above chance.
-  EXPECT_GT(auc, 0.85);
-  EXPECT_LE(auc, 1.0);
-}
-
-TEST(RocAuc, HandComputedTies) {
-  // A model with one SV so decision = coef * K - rho is monotone in the
-  // single feature; craft a dataset with a tie.
-  SvmModel model;
-  model.num_features = 1;
-  model.support_vectors.push_back(SparseVector({0}, {1.0}));
-  model.coef = {1.0};
-  model.rho = 0.0;  // decision(x) = x
-
-  Dataset ds;
-  ds.name = "auc";
-  // Scores: -1 (neg), 1 (pos), 1 (neg), 2 (pos)  => pairs: (pos>neg):
-  // 1>-1 ok, 1 vs 1 tie (0.5), 2>-1 ok, 2>1 ok => AUC = 3.5/4.
-  ds.X = CooMatrix(4, 1,
-                   {{0, 0, -1.0}, {1, 0, 1.0}, {2, 0, 1.0}, {3, 0, 2.0}});
-  ds.y = {-1.0, 1.0, -1.0, 1.0};
-  EXPECT_NEAR(roc_auc(model, ds), 3.5 / 4.0, 1e-12);
-
-  // Single-class input throws.
-  ds.y = {1.0, 1.0, 1.0, 1.0};
-  EXPECT_THROW(roc_auc(model, ds), Error);
 }
 
 }  // namespace

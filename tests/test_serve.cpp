@@ -332,9 +332,13 @@ TEST(ServeEngine, LoadTimeLayoutIsTheSingleRowSmsvArgmin) {
     if (d.score_of(f) < d.score_of(argmin)) argmin = f;
   }
   EXPECT_EQ(format_name(d.format), format_name(argmin)) << d.rationale;
-  // DEN is raced here (the model ranks it in its top two on these 30 %
-  // dense rows), so the argmin above is not vacuous.
-  EXPECT_TRUE(std::isfinite(d.score_of(Format::kDEN))) << d.rationale;
+  // The race times exactly the cost model's top two, so the argmin above
+  // chooses between two measured scores. Which two depends on the SIMD
+  // level's calibration: DEN is one of them at AVX2 and AVX-512, while the
+  // scalar level races CSR and COO.
+  int raced = 0;
+  for (Format f : kAllFormats) raced += std::isfinite(d.score_of(f)) ? 1 : 0;
+  EXPECT_EQ(raced, 2) << d.rationale;
 }
 
 // The micro-batching correctness keystone: scores must not depend on how

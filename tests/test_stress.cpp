@@ -176,76 +176,6 @@ TEST(DegenerateSvm, SingleFeatureDataset) {
   EXPECT_DOUBLE_EQ(r.model.accuracy(ds), 1.0);
 }
 
-// ---------------------------------------------------- class weights
-
-TEST(ClassWeights, MinorityWeightShiftsTheBoundary) {
-  // 1-D overlapping classes with a 9:1 imbalance. With equal weights the
-  // cheapest solution sacrifices minority samples; upweighting the
-  // minority class must recover more of them.
-  Rng rng(0x71);
-  std::vector<Triplet> t;
-  std::vector<real_t> y;
-  index_t row = 0;
-  for (index_t i = 0; i < 45; ++i) {  // majority (+1) around +1.0
-    t.push_back({row, 0, 1.0 + rng.normal(0.0, 0.8)});
-    y.push_back(1.0);
-    ++row;
-  }
-  for (index_t i = 0; i < 5; ++i) {  // minority (-1) around -1.0
-    t.push_back({row, 0, -1.0 + rng.normal(0.0, 0.8)});
-    y.push_back(-1.0);
-    ++row;
-  }
-  Dataset ds{"imb", CooMatrix(row, 1, std::move(t)), std::move(y)};
-
-  auto minority_recall = [&](const SvmParams& params) {
-    const TrainResult r = train_fixed_format(ds, params, Format::kDEN);
-    index_t hit = 0, total = 0;
-    SparseVector probe;
-    for (index_t i = 0; i < ds.rows(); ++i) {
-      if (ds.y[static_cast<std::size_t>(i)] > 0) continue;
-      ++total;
-      ds.X.gather_row(i, probe);
-      hit += r.model.predict(probe) < 0;
-    }
-    return static_cast<double>(hit) / static_cast<double>(total);
-  };
-
-  SvmParams flat;
-  flat.c = 0.05;
-  SvmParams weighted = flat;
-  weighted.weight_negative = 9.0;  // balance the 9:1 ratio
-  EXPECT_GE(minority_recall(weighted), minority_recall(flat));
-  EXPECT_GT(minority_recall(weighted), 0.5);
-}
-
-TEST(ClassWeights, BoxRespectsPerClassC) {
-  Rng rng(0x72);
-  Dataset ds;
-  ds.name = "wbox";
-  ds.X = test::random_matrix(40, 6, 0.5, rng);
-  ds.y = plant_labels(ds.X, 0.2, 40);
-  SvmParams params;
-  params.c = 1.0;
-  params.weight_positive = 3.0;
-  params.weight_negative = 0.5;
-  const TrainResult r = train_fixed_format(ds, params, Format::kCSR);
-  // alpha_i <= C * w(y_i): verified through the extracted coefficients
-  // (coef = alpha * y, so |coef| <= C_i).
-  for (std::size_t k = 0; k < r.model.coef.size(); ++k) {
-    const real_t bound = r.model.coef[k] > 0 ? 3.0 : 0.5;
-    EXPECT_LE(std::abs(r.model.coef[k]), bound + 1e-9);
-  }
-}
-
-TEST(ClassWeights, RejectsNonPositiveWeights) {
-  Dataset ds{"w", CooMatrix(2, 1, {{0, 0, 1.0}, {1, 0, -1.0}}),
-             {1.0, -1.0}};
-  SvmParams params;
-  params.weight_positive = 0.0;
-  EXPECT_THROW(train_fixed_format(ds, params, Format::kDEN), Error);
-}
-
 // -------------------------------------------------------- feature scaling
 
 TEST(Scaling, MapsExplicitEntriesIntoTargetRange) {

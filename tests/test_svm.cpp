@@ -1,7 +1,7 @@
 // Tests for the SVM library: kernel functions (Table I), kernel-row
 // engines, the LRU cache, the SMO solver's analytic solutions and KKT
-// conditions, model extraction/prediction, the trainers, multiclass and the
-// SMO convergence trace hook.
+// conditions, model extraction/prediction, the trainers and the SMO
+// convergence trace hook.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +15,6 @@
 #include "svm/kernel.hpp"
 #include "svm/kernel_engine.hpp"
 #include "svm/model.hpp"
-#include "svm/multiclass.hpp"
 #include "svm/smo.hpp"
 #include "svm/trainer.hpp"
 #include "test_util.hpp"
@@ -451,79 +450,6 @@ TEST(Trainer, BaselineAndAdaptiveAgreeOnAccuracy) {
   EXPECT_NEAR(ours.stats.objective, libsvm.stats.objective,
               1e-3 * std::abs(ours.stats.objective) + 1e-6);
   EXPECT_NEAR(ours.model.accuracy(ds), libsvm.model.accuracy(ds), 0.03);
-}
-
-TEST(Multiclass, OneVsOneSeparatesThreeBlobs) {
-  // Three well-separated 2-D blobs.
-  Rng rng(44);
-  std::vector<Triplet> t;
-  std::vector<real_t> y;
-  const real_t centers[3][2] = {{0, 0}, {10, 0}, {0, 10}};
-  for (index_t i = 0; i < 90; ++i) {
-    const int k = static_cast<int>(i % 3);
-    t.push_back({i, 0, centers[k][0] + rng.normal(0, 0.5)});
-    t.push_back({i, 1, centers[k][1] + rng.normal(0, 0.5)});
-    y.push_back(static_cast<real_t>(k + 1));
-  }
-  Dataset ds{"blobs", CooMatrix(90, 2, std::move(t)), std::move(y)};
-
-  SvmParams params;
-  params.c = 10.0;
-  SchedulerOptions sched;
-  sched.policy = SchedulePolicy::kHeuristic;
-  const MulticlassResult r = train_one_vs_one(ds, params, sched);
-  EXPECT_EQ(r.model.machines.size(), 3u);  // 3 choose 2
-  EXPECT_EQ(r.chosen_formats.size(), 3u);
-  EXPECT_GT(r.model.accuracy(ds), 0.95);
-}
-
-TEST(Multiclass, OneVsRestMatchesOneVsOneOnSeparableBlobs) {
-  Rng rng(45);
-  std::vector<Triplet> t;
-  std::vector<real_t> y;
-  const real_t centers[3][2] = {{0, 0}, {10, 0}, {0, 10}};
-  for (index_t i = 0; i < 90; ++i) {
-    const int k = static_cast<int>(i % 3);
-    t.push_back({i, 0, centers[k][0] + rng.normal(0, 0.5)});
-    t.push_back({i, 1, centers[k][1] + rng.normal(0, 0.5)});
-    y.push_back(static_cast<real_t>(k + 1));
-  }
-  Dataset ds{"blobs_ovr", CooMatrix(90, 2, std::move(t)), std::move(y)};
-
-  SvmParams params;
-  params.c = 10.0;
-  SchedulerOptions sched;
-  sched.policy = SchedulePolicy::kHeuristic;
-  const OvrResult ovr = train_one_vs_rest(ds, params, sched);
-  EXPECT_EQ(ovr.model.machines.size(), 3u);  // one per class
-  EXPECT_GT(ovr.model.accuracy(ds), 0.95);
-  // The shared cache across machines must produce real cross-machine hits
-  // (machine 0 already computed many of the rows machines 1-2 need).
-  EXPECT_GT(ovr.cache_hit_rate, 0.3);
-}
-
-TEST(Multiclass, OneVsRestSharedLayoutDecision) {
-  Rng rng(46);
-  Dataset ds;
-  ds.name = "ovr_layout";
-  ds.X = test::random_matrix(60, 20, 0.2, rng);
-  ds.y.resize(60);
-  for (index_t i = 0; i < 60; ++i) {
-    ds.y[static_cast<std::size_t>(i)] = static_cast<real_t>(i % 3);
-  }
-  SvmParams params;
-  SchedulerOptions sched;
-  sched.policy = SchedulePolicy::kFixed;
-  sched.fixed_format = Format::kELL;
-  const OvrResult r = train_one_vs_rest(ds, params, sched);
-  EXPECT_EQ(r.layout, Format::kELL);
-  EXPECT_GT(r.total_iterations, 0);
-}
-
-TEST(Multiclass, RequiresAtLeastTwoClasses) {
-  Dataset ds{"one", CooMatrix(2, 1, {{0, 0, 1.0}, {1, 0, 2.0}}), {1.0, 1.0}};
-  SvmParams params;
-  EXPECT_THROW(train_one_vs_one(ds, params), Error);
 }
 
 // ---------------------------------------------------------- SMO trace
